@@ -56,8 +56,6 @@ from .stochastic import (
     homodyne_weights,
     reconstruct_correlations,
     simulate_trajectories,
-    simulate_trajectories_exact,
-    simulate_trajectory,
 )
 from .sweep import AxisSpec, SweepResult, SweepSpec, emit, parse_sweep, run_sweep
 
@@ -109,8 +107,6 @@ __all__ = [
     "self_consistent_detuning",
     "simon_separability",
     "simulate_trajectories",
-    "simulate_trajectories_exact",
-    "simulate_trajectory",
     "solve_steady_covariance",
     "steady_state_field",
     "symplectic_eigenvalues",

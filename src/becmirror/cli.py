@@ -169,13 +169,13 @@ def _parse_axis(text: str) -> AxisSpec:
         if parts[4] not in ("log", "linear"):
             raise ValidationError(f"axis scale must be log or linear, got {parts[4]!r}")
         scale = parts[4]
-    return AxisSpec(
-        name=parts[0],
-        start=float(parts[1]),
-        stop=float(parts[2]),
-        points=int(parts[3]),
-        scale=scale,
-    )
+    try:
+        start, stop, points = float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError:
+        raise ValidationError(
+            f"axis min and max must be numbers and points an integer, got {text!r}"
+        ) from None
+    return AxisSpec(name=parts[0], start=start, stop=stop, points=points, scale=scale)
 
 
 def cmd_sweep(args) -> int:
@@ -210,28 +210,17 @@ def _sde_setup(args):
         raise ValidationError(
             "config is not stable; stochastic verification needs a stationary state"
         )
-    fastest = float(np.max(np.abs(report.eigenvalues)))
-    slowest = abs(report.spectral_abscissa)
-    # Euler-Maruyama mean-square limit: dt < min 2|Re l| / |l|^2 per mode.
-    # Staying well below it keeps the discretization bias small for the
-    # weakly damped oscillator modes.
-    eigs = report.eigenvalues
-    dt_ms = float(np.min(2.0 * np.abs(eigs.real) / np.abs(eigs) ** 2))
-    dt = args.dt if args.dt else min(0.04 / fastest, 0.2 * dt_ms)
-    horizon = args.horizon if args.horizon else (args.burn_in_factor + 20.0) / slowest
-    burn_in = args.burn_in_factor / slowest
-    total_steps = args.trajectories * horizon / dt
-    if total_steps > args.max_steps:
-        raise ValidationError(
-            f"run would take ~{total_steps:.2e} Euler-Maruyama steps "
-            f"(> --max-steps {args.max_steps:.2e}); this configuration is stiff "
-            f"(timescale ratio {fastest / slowest:.1e}). Raise --max-steps to force."
-        )
-    return params, drift, diffusion, dt, horizon, burn_in
+    tau = 1.0 / abs(report.spectral_abscissa)
+    horizon = (args.burn_in_factor + 20.0) * tau if args.horizon is None else args.horizon
+    return params, drift, diffusion, tau, horizon
 
 
 def cmd_sde_verify(args) -> int:
-    _, drift, diffusion, dt, horizon, burn_in = _sde_setup(args)
+    _, drift, diffusion, tau, horizon = _sde_setup(args)
+    # A tenth of the decorrelation time resolves it; the exact transition
+    # needs no finer step.
+    dt = 0.1 * tau if args.dt is None else args.dt
+    burn_in = args.burn_in_factor * tau
     cov = solve_steady_covariance(drift, diffusion)
     trajectories = simulate_trajectories(
         drift, diffusion, None, dt=dt, horizon=horizon,
@@ -257,14 +246,12 @@ def cmd_sde_verify(args) -> int:
 
 
 def cmd_homodyne_sim(args) -> int:
-    params, drift, diffusion, dt, horizon, burn_in = _sde_setup(args)
+    params, drift, diffusion, _, horizon = _sde_setup(args)
+    # Detector interval resolving ~40 samples per mechanical rotation period.
+    dt = 2.0 * math.pi / (40.0 * params.om_m) if args.dt is None else args.dt
     cov = solve_steady_covariance(drift, diffusion)
-    stride = args.record_stride
-    if not stride:
-        # Detector bandwidth resolving ~40 samples per rotation period.
-        stride = max(1, int(round(2.0 * math.pi / params.om_m / 40.0 / dt)))
-    probe_kappa = args.probe_kappa if args.probe_kappa else params.om_m / 20.0
-    coupling = args.probe_coupling if args.probe_coupling else probe_kappa / 20.0
+    probe_kappa = params.om_m / 20.0 if args.probe_kappa is None else args.probe_kappa
+    coupling = probe_kappa / 20.0 if args.probe_coupling is None else args.probe_coupling
     mirror_probe = ProbeCavity(probe_kappa, params.om_m, coupling, 0.0)
     bec_probe = ProbeCavity(probe_kappa, params.om_m, 0.0, coupling)
     both_probe = ProbeCavity(probe_kappa, params.om_m, coupling, coupling)
@@ -283,8 +270,7 @@ def cmd_homodyne_sim(args) -> int:
     for t_index, traj in enumerate(trajectories):
         records = [
             homodyne_output(traj, probe, phase,
-                            noise_seed=args.seed + 1 + t_index * len(configs) + c_index,
-                            stride=stride)
+                            noise_seed=args.seed + 1 + t_index * len(configs) + c_index)
             for c_index, (probe, phase) in enumerate(configs)
         ]
         record_sets.append(records)
@@ -374,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--trajectories", type=int, default=8)
         p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--dt", type=float, default=None,
+                       help="record interval (default: a tenth of the relaxation "
+                       "time for sde-verify, 2 pi / (40 om_m) for homodyne-sim)")
         p.add_argument("--horizon", type=float, default=None)
         p.add_argument("--burn-in-factor", type=float, default=10.0,
                        help="burn-in in units of the relaxation time")
-        p.add_argument("--max-steps", type=float, default=5e7,
-                       help="refuse runs above this many total steps")
 
     p = sub.add_parser("sde-verify", help="Monte-Carlo check of the Lyapunov solution")
     add_sde(p)
@@ -389,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sde(p)
     p.add_argument("--probe-kappa", type=float, default=None)
     p.add_argument("--probe-coupling", type=float, default=None)
-    p.add_argument("--record-stride", type=int, default=None,
-                   help="detector samples once per this many integrator steps")
     p.add_argument("--save-trajectories", default=None,
                    help="directory for per-trajectory CSV dumps")
     p.set_defaults(func=cmd_homodyne_sim)

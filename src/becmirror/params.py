@@ -210,7 +210,8 @@ class ModelParams:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation of a mode at ``omega`` (rad/s) and T (K).
 
-    Returns 0 at T = 0 (continuity limit); rejects negative temperatures.
+    Returns 0 at T = 0 (continuity limit) and underflows to 0 once
+    hbar omega / (k_B T) exceeds ~745; rejects negative temperatures.
     """
     if temperature < 0:
         raise ValidationError(f"temperature must be >= 0, got {temperature!r}")
@@ -218,7 +219,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValidationError(f"omega must be > 0, got {omega!r}")
     if temperature == 0:
         return 0.0
-    return 1.0 / math.expm1(HBAR * omega / (BOLTZMANN_K * temperature))
+    x = HBAR * omega / (BOLTZMANN_K * temperature)
+    # 1 / (e^x - 1) written so that e^x cannot overflow at ultracold T.
+    return math.exp(-x) / -math.expm1(-x)
 
 
 def derive_parameters(inp: PhysicalInput) -> DerivedParams:

@@ -1,19 +1,15 @@
 """Monte-Carlo trajectory engine and homodyne readout model.
 
-The linear quadrature Langevin system is integrated as an Ito SDE with the
-Euler-Maruyama scheme, R <- R + M R dt + sqrt(dt) L xi, where L L^T = D and
-xi is standard normal.  Input noises are discretized as independent Gaussian
-increments whose variances match the symmetrized correlators, so ensemble
-covariances of long runs estimate the Lyapunov steady state and serve as an
-independent oracle for it.
-
-Because the dynamics are linear, the SDE also has an exact Gaussian
-transition over any step dt, R <- Phi R + L xi with Phi = exp(M dt) and
-L L^T = Q = int_0^dt exp(M s) D exp(M^T s) ds (Van Loan, IEEE TAC 23, 1978;
-Gillespie, PRE 54, 2084, 1996).  :func:`simulate_trajectories_exact` samples
-it; its step is bounded by nothing but the record resolution, so stiff
-configurations whose Euler-Maruyama step is set by the cavity decay can be
-sampled over many mechanical decorrelation times.
+The linear quadrature Langevin system dR = M R dt + dW, whose input-noise
+increments have the covariance D dt of the symmetrized correlators, has an
+exact Gaussian transition over any step dt: R <- Phi R + L xi with
+Phi = exp(M dt), L L^T = Q = int_0^dt exp(M s) D exp(M^T s) ds and xi
+standard normal (Van Loan, IEEE TAC 23, 1978; Gillespie, PRE 54, 2084, 1996).
+:func:`simulate_trajectories` samples it, so the step carries no
+discretization error and only sets the record interval; stiff configurations,
+whose fastest mode is the cavity decay, are sampled over many mechanical
+decorrelation times.  Ensemble covariances of long runs estimate the Lyapunov
+steady state and serve as an independent oracle for it.
 
 Randomness comes from numpy's counter-based Philox bit generator with
 explicit ``(seed, stream)`` keys; identical keys reproduce trajectories
@@ -27,9 +23,9 @@ adiabatic elimination its output field is
 
 where the tildes are slow variables in the frame rotating at the probe
 detuning.  Homodyning this output at chosen local-oscillator phases gives
-linear combinations of the mirror and condensate quadratures, and the full
-reduced covariance matrix is recovered by least squares from the record
-correlations.
+linear combinations of the mirror and condensate quadratures, sampled at the
+trajectory's record interval, and the full reduced covariance matrix is
+recovered by least squares from the record correlations.
 """
 
 from __future__ import annotations
@@ -41,13 +37,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import QUADRATURES, StabilityReport, check_stability_eigen
-from .errors import NumericalError, StabilityError, ValidationError
+from .dynamics import QUADRATURES, check_stability_eigen
+from .errors import StabilityError, ValidationError
 
 logger = logging.getLogger(__name__)
 
-#: Euler-Maruyama step-size gate relative to the fastest eigenvalue
-MAX_DT_FRACTION = 0.05
+#: most samples one call may store, counted as
+#: n_trajectories * (horizon / dt + 1); each holds one float per quadrature
+MAX_SAMPLES = 10_000_000
 
 _NOISE_BLOCK = 8192
 
@@ -68,21 +65,6 @@ def _psd_root(matrix: np.ndarray, name: str) -> np.ndarray:
     if np.min(evals) < -1e-10 * max(1.0, float(np.max(np.abs(evals)))):
         raise ValidationError(f"{name} is not positive semidefinite")
     return evecs * np.sqrt(np.clip(evals, 0.0, None))
-
-
-def _check_run(drift: np.ndarray, dt: float, horizon: float) -> StabilityReport:
-    """Reject a bad step or horizon and a drift that is not strictly Hurwitz."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
-    report = check_stability_eigen(drift)
-    if not report.is_stable:
-        raise StabilityError(
-            "trajectory simulation requires a strictly stable drift matrix "
-            f"(spectral abscissa {report.spectral_abscissa:.6e})"
-        )
-    return report
 
 
 @dataclass(frozen=True)
@@ -141,107 +123,6 @@ class HomodyneRecord:
     noise_seed: int | None
 
 
-def simulate_trajectory(
-    drift: np.ndarray,
-    diffusion: np.ndarray,
-    cov0: np.ndarray | None,
-    *,
-    dt: float,
-    horizon: float,
-    seed: int,
-    stream: int = 0,
-) -> TrajectoryRecord:
-    """Integrate one Euler-Maruyama trajectory of the quadrature SDE.
-
-    Parameters
-    ----------
-    drift, diffusion : numpy.ndarray
-        Drift matrix (must be strictly Hurwitz) and diagonal diffusion matrix.
-    cov0 : numpy.ndarray or None
-        Covariance of the Gaussian initial state; ``None`` starts from the
-        origin.
-    dt : float
-        Step size; must satisfy dt <= 0.05 / max|eigenvalue| (checked before
-        running).  For weakly damped oscillator modes the scheme is
-        mean-square stable only below 2 |Re l| / |l|^2 per eigenvalue l, and
-        its stationary covariance carries an O(dt) bias that grows near that
-        limit; choose dt accordingly when estimating covariances.
-    horizon : float
-        Total simulated time; the record holds round(horizon/dt) + 1 samples
-        including t = 0.
-    seed, stream : int
-        Philox key; identical keys give bit-identical trajectories.
-    """
-    drift = np.asarray(drift, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
-    report = _check_run(drift, dt, horizon)
-    fastest = float(np.max(np.abs(report.eigenvalues)))
-    dt_max = MAX_DT_FRACTION / fastest
-    if dt > dt_max:
-        raise ValidationError(
-            f"dt={dt:.3e} exceeds the Euler-Maruyama gate {dt_max:.3e} "
-            f"(0.05 / max|eigenvalue|)"
-        )
-    n_steps = int(round(horizon / dt))
-
-    rng = _rng(seed, stream)
-    dim = drift.shape[0]
-    state = np.zeros(dim)
-    if cov0 is not None:
-        root = _psd_root(np.asarray(cov0, dtype=float), "cov0")
-        state = root @ rng.standard_normal(dim)
-
-    step_mat = drift * dt
-    diagonal_noise = np.allclose(diffusion, np.diag(np.diag(diffusion)))
-    if diagonal_noise:
-        noise_amp = np.sqrt(np.clip(np.diag(diffusion), 0.0, None)) * math.sqrt(dt)
-    else:
-        noise_root = _psd_root(diffusion, "diffusion matrix") * math.sqrt(dt)
-
-    samples = np.empty((dim, n_steps + 1))
-    samples[:, 0] = state
-    blowup = 1e12 * max(1.0, float(np.linalg.norm(diffusion)), float(np.abs(state).max()))
-    k = 0
-    while k < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - k)
-        noise = rng.standard_normal((dim, block))
-        if not diagonal_noise:
-            noise = noise_root @ noise
-        for j in range(block):
-            if diagonal_noise:
-                state = state + step_mat @ state + noise_amp * noise[:, j]
-            else:
-                state = state + step_mat @ state + noise[:, j]
-            samples[:, k + j + 1] = state
-        k += block
-        if not np.abs(state).max() < blowup:
-            raise NumericalError(
-                f"trajectory norm blew up after {k} steps; reduce dt"
-            )
-    times = np.arange(n_steps + 1) * dt
-    return TrajectoryRecord(times=times, samples=samples, dt=dt, seed=seed, stream=stream)
-
-
-def simulate_trajectories(
-    drift: np.ndarray,
-    diffusion: np.ndarray,
-    cov0: np.ndarray | None,
-    *,
-    dt: float,
-    horizon: float,
-    seed: int,
-    n_trajectories: int,
-    first_stream: int = 0,
-) -> list[TrajectoryRecord]:
-    """Independent trajectories on consecutive streams of one seed."""
-    return [
-        simulate_trajectory(
-            drift, diffusion, cov0, dt=dt, horizon=horizon, seed=seed, stream=s
-        )
-        for s in range(first_stream, first_stream + n_trajectories)
-    ]
-
-
 def exact_transition(
     drift: np.ndarray, diffusion: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +162,7 @@ def exact_transition(
     return phi, q
 
 
-def simulate_trajectories_exact(
+def simulate_trajectories(
     drift: np.ndarray,
     diffusion: np.ndarray,
     cov0: np.ndarray | None,
@@ -292,16 +173,35 @@ def simulate_trajectories_exact(
     n_trajectories: int,
     first_stream: int = 0,
 ) -> list[TrajectoryRecord]:
-    """Independent trajectories sampled with the exact Gaussian transition.
+    """Independent trajectories of the quadrature SDE on consecutive streams.
 
-    Takes the arguments of :func:`simulate_trajectories` and returns the same
-    records, but steps with R <- Phi R + L xi from :func:`exact_transition`,
-    which has no discretization error: any ``dt`` > 0 is accepted and only
-    sets the record resolution.  The trajectories advance together, one
-    matrix product per step.  Stream ``s`` draws its initial state and its
-    noise from its own Philox key ``(seed, s)``, so its record does not
-    depend on how many others are sampled alongside it, up to the round-off
-    of a product over a different number of columns.
+    Steps with the exact Gaussian transition R <- Phi R + L xi from
+    :func:`exact_transition`, which has no discretization error: any ``dt``
+    > 0 is accepted and only sets the record interval.  The trajectories
+    advance together, one matrix product per step.  Stream ``s`` draws its
+    initial state and its noise from its own Philox key ``(seed, s)``, so its
+    record does not depend on how many others are sampled alongside it, up to
+    the round-off of a product over a different number of columns.
+
+    Parameters
+    ----------
+    drift, diffusion : numpy.ndarray
+        Drift matrix (must be strictly Hurwitz) and positive semidefinite
+        diffusion matrix.
+    cov0 : numpy.ndarray or None
+        Covariance of the Gaussian initial state; ``None`` starts from the
+        origin.
+    dt : float
+        Record interval.
+    horizon : float
+        Total simulated time; each record holds round(horizon/dt) + 1 samples
+        including t = 0.
+    seed : int
+        Philox seed shared by all trajectories.
+    n_trajectories, first_stream : int
+        Trajectory ``i`` runs on stream ``first_stream + i``.  Together the
+        records may hold at most :data:`MAX_SAMPLES` samples, checked before
+        sampling.
 
     Raises
     ------
@@ -309,14 +209,31 @@ def simulate_trajectories_exact(
         If the drift matrix is not strictly Hurwitz.
     ValidationError
         If ``dt`` or ``horizon`` is not finite and positive,
-        ``n_trajectories`` is below one, or ``cov0`` or the diffusion matrix
-        is not positive semidefinite.
+        ``n_trajectories`` is below one, the run would store more than
+        :data:`MAX_SAMPLES` samples, or ``cov0`` or the diffusion matrix is
+        not positive semidefinite.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    _check_run(drift, dt, horizon)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
     if n_trajectories < 1:
         raise ValidationError(f"n_trajectories must be >= 1, got {n_trajectories!r}")
+    stored = n_trajectories * (horizon / dt + 1.0)
+    if stored > MAX_SAMPLES:
+        raise ValidationError(
+            f"run would store {stored:.3g} samples (n_trajectories x "
+            f"(horizon/dt + 1)), above the cap of {MAX_SAMPLES:.0e}; shorten "
+            "the horizon, lengthen dt or sample fewer trajectories"
+        )
+    report = check_stability_eigen(drift)
+    if not report.is_stable:
+        raise StabilityError(
+            "trajectory simulation requires a strictly stable drift matrix "
+            f"(spectral abscissa {report.spectral_abscissa:.6e})"
+        )
     _psd_root(diffusion, "diffusion matrix")
     cov0_root = None
     if cov0 is not None:
@@ -328,31 +245,26 @@ def simulate_trajectories_exact(
     n_steps = int(round(horizon / dt))
     streams = range(first_stream, first_stream + n_trajectories)
     rngs = [_rng(seed, s) for s in streams]
-    # path[k] holds every trajectory's state at step k, one column per stream.
-    path = np.empty((n_steps + 1, dim, n_trajectories))
-    path[0] = 0.0
+    # path[col] is the record of one stream; state holds one column per stream.
+    path = np.empty((n_trajectories, dim, n_steps + 1))
+    state = np.zeros((dim, n_trajectories))
     if cov0_root is not None:
         for col, rng in enumerate(rngs):
-            path[0, :, col] = cov0_root @ rng.standard_normal(dim)
-    state = path[0]
+            state[:, col] = cov0_root @ rng.standard_normal(dim)
+    path[:, :, 0] = state.T
     k = 0
     while k < n_steps:
         block = min(_NOISE_BLOCK, n_steps - k)
         xi = np.stack([rng.standard_normal((dim, block)) for rng in rngs], axis=-1)
-        noise = np.einsum("ij,jbn->bin", noise_root, xi)
+        # steps[j] holds the noise of step k + j + 1, then the state after it.
+        steps = np.einsum("ij,jbn->bin", noise_root, xi)
         for j in range(block):
-            state = phi @ state + noise[j]
-            path[k + j + 1] = state
+            state = steps[j] = phi @ state + steps[j]
+        path[:, :, k + 1 : k + block + 1] = steps.transpose(2, 1, 0)
         k += block
     times = np.arange(n_steps + 1) * dt
     return [
-        TrajectoryRecord(
-            times=times,
-            samples=np.ascontiguousarray(path[:, :, col].T),
-            dt=dt,
-            seed=seed,
-            stream=s,
-        )
+        TrajectoryRecord(times=times, samples=path[col], dt=dt, seed=seed, stream=s)
         for col, s in enumerate(streams)
     ]
 
@@ -455,17 +367,15 @@ def homodyne_output(
     probe: ProbeCavity,
     phase: float,
     noise_seed: int | None,
-    stride: int = 1,
 ) -> HomodyneRecord:
     """Homodyne record of the probe output for one trajectory.
 
-    The slow-variable rotation is applied in post-processing at the probe
+    The detector samples at the trajectory's record times, so ``traj.dt`` is
+    its sampling interval and 1/(2 traj.dt) its bandwidth.  The
+    slow-variable rotation is applied in post-processing at the probe
     detuning frequency; an independently seeded vacuum input-noise stream of
-    per-sample quadrature variance 1/(2 dt_record) is added on top of the
-    signal.  ``stride`` subsamples the trajectory grid, modelling a detector
-    of bandwidth 1/(2 dt_record) with dt_record = stride * traj.dt; without
-    it the vacuum noise floor at the integrator resolution would swamp any
-    finite record.
+    per-sample quadrature variance 1/(2 traj.dt) is added on top of the
+    signal.
 
     Raises
     ------
@@ -475,27 +385,23 @@ def homodyne_output(
     """
     if noise_seed is None:
         raise ValidationError("noise_seed is required for the probe input noise")
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
     flags = probe.validity()
     if not all(flags.values()):
         bad = sorted(name for name, ok in flags.items() if not ok)
         logger.warning("probe outside its validity regime: %s", ", ".join(bad))
-    times = traj.times[::stride]
-    dt_record = traj.dt * stride
-    weights = homodyne_weights(probe, phase, probe.detuning1, times)
-    signal = np.einsum("jk,jk->k", weights, traj.samples[:4, ::stride])
+    weights = homodyne_weights(probe, phase, probe.detuning1, traj.times)
+    signal = np.einsum("jk,jk->k", weights, traj.samples[:4])
     rng = _rng(noise_seed)
-    sigma = math.sqrt(1.0 / (2.0 * dt_record))
-    xi_q, xi_p = rng.standard_normal((2, len(times))) * sigma
+    sigma = math.sqrt(1.0 / (2.0 * traj.dt))
+    xi_q, xi_p = rng.standard_normal((2, len(traj.times))) * sigma
     noise = math.cos(phase) * xi_q + math.sin(phase) * xi_p
     return HomodyneRecord(
-        times=times,
+        times=traj.times,
         values=signal + noise,
         phase=phase,
         probe=probe,
         rotation=probe.detuning1,
-        dt=dt_record,
+        dt=traj.dt,
         noise_seed=noise_seed,
     )
 
@@ -531,7 +437,7 @@ def reconstruct_correlations(
         cross products are free of noise bias.
     noise_variance : float, optional
         Per-sample variance of each record's own noise, subtracted from
-        same-record products.  Defaults to 1/(2 dt_record) as produced by
+        same-record products.  Defaults to 1/(2 dt) as produced by
         :func:`homodyne_output`; pass 0.0 for noiseless synthetic records.
     max_times : int
         Time indices are evenly subsampled down to this many rows per record

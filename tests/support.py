@@ -50,8 +50,7 @@ def entangled_model(**overrides) -> ModelParams:
 
     Large detuning, a narrow cavity and a cold, moderately damped mirror put
     the pair into the two-mode-squeezed regime of the eliminated dynamics
-    (log-negativity 0.096).  The point is also cheap to simulate: its
-    Euler-Maruyama mean-square stability limit is about 9e-3 and it
+    (log-negativity 0.096).  The point is also cheap to simulate: it
     decorrelates in a few tens of time units.
     """
     kwargs = dict(

@@ -18,8 +18,7 @@ with the measured numbers (see the README's acceptance-status section).
 
 Criterion 7 runs at the canonical stable point with the exact-transition
 sampler, whose step is not limited by the cavity's stiffness; its companion
-test keeps the same contract on a non-stiff entangled system with
-Euler-Maruyama.
+test keeps the same contract on a non-stiff entangled system.
 """
 
 import time
@@ -45,7 +44,6 @@ from becmirror import (
     residual,
     run_sweep,
     simulate_trajectories,
-    simulate_trajectories_exact,
     solve_steady_covariance,
     symplectic_eigenvalues,
     thermal_occupation,
@@ -345,7 +343,7 @@ class TestCriterion7MonteCarloCrossValidation:
         cov = solve_steady_covariance(drift, diffusion)
 
         t0 = time.perf_counter()
-        trajectories = simulate_trajectories_exact(
+        trajectories = simulate_trajectories(
             drift, diffusion, None, dt=dt, horizon=(10.0 + 1e4) * decorrelation,
             seed=1, n_trajectories=4,
         )

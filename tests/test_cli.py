@@ -171,11 +171,21 @@ class TestSweepCommand:
         assert len(doc["rows"]) == 4
 
     def test_bad_axis_syntax(self, demo_config, capsys):
-        code, _, err = run_cli(
+        for axis in ("temperature:1:2", "temperature:0:1:x", "temperature:a:1:3"):
+            code, _, err = run_cli(
+                capsys, "sweep", "--config", demo_config, "--axis", axis, "--out", "-",
+            )
+            assert code == 2
+            assert err.startswith("error:")
+
+    def test_ultracold_temperatures_exit_zero(self, demo_config, capsys):
+        # hbar om_m / (k_B T) reaches 4.8e4 at 1 nK; n_th underflows to 0.
+        code, out, err = run_cli(
             capsys, "sweep", "--config", demo_config,
-            "--axis", "temperature:1:2", "--out", "-",
+            "--axis", "temperature:1e-9:1e-5:3", "--out", "-",
         )
-        assert code == 2
+        assert code == 0
+        assert out.count(",ok,") == 3
 
     def test_stdout_output(self, demo_config, capsys):
         code = main([
@@ -202,10 +212,24 @@ class TestStochasticCommands:
 
     def test_sde_verify_step_guard(self, demo_config, capsys):
         code, _, err = run_cli(
-            capsys, "sde-verify", "--config", demo_config, "--max-steps", "100",
+            capsys, "sde-verify", "--config", demo_config, "--horizon", "1e3",
         )
         assert code == 2
-        assert "max-steps" in err
+        assert "cap of 1e+07" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sde-verify", "--dt", "0"],
+            ["sde-verify", "--dt=-1e-9"],
+            ["sde-verify", "--horizon", "0"],
+            ["homodyne-sim", "--probe-kappa", "0"],
+        ],
+    )
+    def test_zero_or_negative_values_rejected(self, demo_config, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--config", demo_config)
+        assert code == 2
+        assert "must be" in err
 
     def test_homodyne_sim(self, demo_config, tmp_path, capsys):
         traj_dir = tmp_path / "trajs"

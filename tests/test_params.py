@@ -95,6 +95,10 @@ class TestDeriveParameters:
     def test_thermal_occupation_zero_temperature(self):
         assert derive_parameters(reference_input(temperature=0.0)).n_th == 0.0
 
+    def test_thermal_occupation_ultracold_underflows_to_zero(self):
+        # hbar om_m / (k_B T) = 4.8e4 at 1 nK, past the range of exp.
+        assert thermal_occupation(TWO_PI * 1e6, 1e-9) == 0.0
+
     def test_thermal_occupation_rejects_negative_temperature(self):
         with pytest.raises(ValidationError, match="temperature"):
             thermal_occupation(1e6, -1.0)
