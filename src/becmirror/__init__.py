@@ -39,6 +39,7 @@ from .lyapunov import integrate_covariance, residual, solve_steady_covariance
 from .params import (
     CavitySteadyState,
     DerivedParams,
+    ModelBatch,
     ModelParams,
     PhysicalInput,
     derive_parameters,
@@ -71,6 +72,7 @@ __all__ = [
     "EntanglementResult",
     "HomodyneRecord",
     "MODE_INDICES",
+    "ModelBatch",
     "ModelParams",
     "NumericalError",
     "PhysicalInput",

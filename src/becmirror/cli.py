@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -28,7 +28,13 @@ from .effective import effective_parameters
 from .entanglement import entanglement_result, reduce_to_modes
 from .errors import BecMirrorError, ValidationError
 from .lyapunov import residual, solve_steady_covariance
-from .params import ModelParams, PhysicalInput, derive_parameters, model_params
+from .params import (
+    ModelParams,
+    PhysicalInput,
+    derive_parameters,
+    finite_real,
+    model_params,
+)
 from .stochastic import (
     ProbeCavity,
     ensemble_covariance,
@@ -57,17 +63,25 @@ CONSTANTS_ENV = "BECMIRROR_CONSTANTS"
 def load_config(path: str, frequency_unit: str | None = None) -> PhysicalInput:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"config must be a JSON object of parameters, got {type(raw).__name__}"
+        )
     unit = frequency_unit or raw.pop("frequency_unit", "rad_s")
     raw.pop("frequency_unit", None)
     if unit not in ("rad_s", "hz"):
         raise ValidationError(f"frequency_unit must be rad_s or hz, got {unit!r}")
-    if unit == "hz":
-        for key in FREQUENCY_FIELDS:
-            if raw.get(key) is not None:
-                raw[key] = 2.0 * math.pi * raw[key]
     unknown = set(raw) - set(PhysicalInput.field_names())
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(PhysicalInput)
+               if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ValidationError(f"missing config keys: {missing}")
+    if unit == "hz":
+        for key in FREQUENCY_FIELDS:
+            if raw.get(key) is not None:
+                raw[key] = 2.0 * math.pi * finite_real(key, raw[key])
     return PhysicalInput(**raw)
 
 
@@ -185,7 +199,7 @@ def cmd_sweep(args) -> int:
         axes=tuple(_parse_axis(a) for a in args.axis),
         include_effective=args.effective,
     )
-    result = run_sweep(spec, workers=args.workers)
+    result = run_sweep(spec)
     blob = emit(result, args.format)
     if args.out == "-":
         sys.stdout.buffer.write(blob)
@@ -211,6 +225,10 @@ def _sde_setup(args):
             "config is not stable; stochastic verification needs a stationary state"
         )
     tau = 1.0 / abs(report.spectral_abscissa)
+    if not (math.isfinite(args.burn_in_factor) and args.burn_in_factor >= 0):
+        raise ValidationError(
+            f"--burn-in-factor must be finite and >= 0, got {args.burn_in_factor!r}"
+        )
     horizon = (args.burn_in_factor + 20.0) * tau if args.horizon is None else args.horizon
     return params, drift, diffusion, tau, horizon
 
@@ -353,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--effective", action="store_true", help="add effective-model columns")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     def add_sde(p):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .params import ModelParams
+from .params import ModelBatch, ModelParams
 
 QUADRATURES = ("q_m", "p_m", "q_a", "p_a", "q_c", "p_c")
 
@@ -34,7 +34,7 @@ def symplectic_form(n_modes: int = 3) -> np.ndarray:
     return omega
 
 
-def build_drift(p: ModelParams) -> np.ndarray:
+def build_drift(p: ModelParams | ModelBatch) -> np.ndarray:
     """Drift matrix of the linearized quadrature dynamics.
 
     Row by row, the equations of motion are::
@@ -48,43 +48,48 @@ def build_drift(p: ModelParams) -> np.ndarray:
 
     Parameters
     ----------
-    p : ModelParams
-        Validated model parameters.
+    p : ModelParams or ModelBatch
+        Validated model parameters, one model or a batch of N.
 
     Returns
     -------
     numpy.ndarray
-        Real 6x6 drift matrix in the fixed quadrature ordering.
+        Real 6x6 drift matrix in the fixed quadrature ordering, or an
+        (N, 6, 6) stack of them for a batch.
     """
-    m = np.zeros((6, 6))
-    m[0, 0] = -p.gamma
-    m[0, 1] = p.om_m
-    m[1, 0] = -p.om_m
-    m[1, 1] = -p.gamma
-    m[1, 4] = p.G_mc
-    m[2, 3] = p.om_a
-    m[3, 2] = -p.om_a
-    m[3, 4] = -p.G_ac
-    m[4, 4] = -p.kappa
-    m[4, 5] = p.detuning
-    m[5, 0] = p.G_mc
-    m[5, 2] = -p.G_ac
-    m[5, 4] = -p.detuning
-    m[5, 5] = -p.kappa
+    m = np.zeros(np.shape(p.om_m) + (6, 6))
+    m[..., 0, 0] = -p.gamma
+    m[..., 0, 1] = p.om_m
+    m[..., 1, 0] = -p.om_m
+    m[..., 1, 1] = -p.gamma
+    m[..., 1, 4] = p.G_mc
+    m[..., 2, 3] = p.om_a
+    m[..., 3, 2] = -p.om_a
+    m[..., 3, 4] = -p.G_ac
+    m[..., 4, 4] = -p.kappa
+    m[..., 4, 5] = p.detuning
+    m[..., 5, 0] = p.G_mc
+    m[..., 5, 2] = -p.G_ac
+    m[..., 5, 4] = -p.detuning
+    m[..., 5, 5] = -p.kappa
     return m
 
 
-def build_diffusion(p: ModelParams) -> np.ndarray:
+def build_diffusion(p: ModelParams | ModelBatch) -> np.ndarray:
     """Diagonal diffusion matrix of the symmetrized input noises.
 
     The mirror bath contributes gamma (2 n_th + 1) on its two quadratures,
     the cavity vacuum kappa (2 n_c + 1); the condensate mode is noiseless
     (its thermal effects are neglected).  An uncoupled mirror then
-    thermalizes to (n_th + 1/2) on both quadrature variances.
+    thermalizes to (n_th + 1/2) on both quadrature variances.  A batch gives
+    an (N, 6, 6) stack.
     """
     mech = p.gamma * (2.0 * p.n_th + 1.0)
     cav = p.kappa * (2.0 * p.n_c + 1.0)
-    return np.diag([mech, mech, 0.0, 0.0, cav, cav])
+    d = np.zeros(np.shape(p.om_m) + (6, 6))
+    d[..., 0, 0] = d[..., 1, 1] = mech
+    d[..., 4, 4] = d[..., 5, 5] = cav
+    return d
 
 
 @dataclass(frozen=True)
@@ -109,20 +114,55 @@ class StabilityReport:
     criterion_pass: bool | None = None
 
 
-def check_stability_criterion(p: ModelParams) -> tuple[float, bool]:
+def check_stability_criterion(p: ModelParams | ModelBatch) -> tuple[float, bool]:
     """Closed-form product stability criterion.
 
     Returns the left-hand-side value of
     om_m om_a (kappa^2 + detuning^2) - detuning (G_mc^2 om_a + G_ac^2 om_m)
-    and whether it is positive.  The value equals det M / (om_m om_a) at
-    gamma = 0.  A strictly Hurwitz 6x6 drift has det M > 0, so without
-    damping a negative value proves instability, while a positive one proves
-    nothing.
+    and whether it is positive, as arrays for a batch.  The value equals
+    det M / (om_m om_a) at gamma = 0.  A strictly Hurwitz 6x6 drift has
+    det M > 0, so without damping a negative value proves instability, while
+    a positive one proves nothing.
     """
-    value = p.om_m * p.om_a * (p.kappa**2 + p.detuning**2) - p.detuning * (
-        p.G_mc**2 * p.om_a + p.G_ac**2 * p.om_m
+    value = p.om_m * p.om_a * (p.kappa * p.kappa + p.detuning * p.detuning) - p.detuning * (
+        p.G_mc * p.G_mc * p.om_a + p.G_ac * p.G_ac * p.om_m
     )
     return value, value > 0.0
+
+
+def eigen_stability(
+    drifts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalue stability of a stack of square drift matrices.
+
+    The stacked core of :func:`check_stability_eigen`: one eigenvalue call
+    over the (N, n, n) stack, then the spectral abscissa and the marginal
+    band ``MARGINAL_TOL * ||M||_F`` per matrix.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        ``(eigenvalues, abscissa, marginal, stable)`` with shapes (N, n),
+        (N,), (N,) and (N,).
+
+    Raises
+    ------
+    ValidationError
+        If any matrix contains non-finite entries.
+    NumericalError
+        If the eigenvalue iteration fails on any matrix of the stack.
+    """
+    if not np.all(np.isfinite(drifts)):
+        raise ValidationError("drift matrix contains non-finite entries")
+    try:
+        eigenvalues = np.linalg.eigvals(drifts)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
+        raise NumericalError(f"eigenvalue computation failed on\n{drifts!r}") from exc
+    abscissa = np.max(eigenvalues.real, axis=-1)
+    tol = MARGINAL_TOL * np.linalg.norm(drifts, axis=(-2, -1))
+    marginal = np.abs(abscissa) <= tol
+    stable = (abscissa < 0.0) & ~marginal
+    return eigenvalues, abscissa, marginal, stable
 
 
 def check_stability_eigen(
@@ -148,24 +188,15 @@ def check_stability_eigen(
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValidationError(f"drift matrix must be square, got shape {drift.shape}")
-    if not np.all(np.isfinite(drift)):
-        raise ValidationError("drift matrix contains non-finite entries")
-    try:
-        eigenvalues = np.linalg.eigvals(drift)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
-        raise NumericalError(f"eigenvalue computation failed on\n{drift!r}") from exc
-    abscissa = float(np.max(eigenvalues.real))
-    tol = MARGINAL_TOL * float(np.linalg.norm(drift))
-    marginal = bool(abs(abscissa) <= tol)
-    stable = bool(abscissa < 0.0 and not marginal)
+    eigenvalues, abscissa, marginal, stable = eigen_stability(drift[None])
     value = passes = None
     if params is not None:
         value, passes = check_stability_criterion(params)
     return StabilityReport(
-        is_stable=stable,
-        is_marginal=marginal,
-        eigenvalues=eigenvalues,
-        spectral_abscissa=abscissa,
+        is_stable=bool(stable[0]),
+        is_marginal=bool(marginal[0]),
+        eigenvalues=eigenvalues[0],
+        spectral_abscissa=float(abscissa[0]),
         criterion_value=value,
         criterion_pass=passes,
     )

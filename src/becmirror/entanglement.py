@@ -43,9 +43,9 @@ class ClampCounter:
     def count(self) -> int:
         return self._count
 
-    def increment(self) -> None:
+    def add(self, n: int) -> None:
         with self._lock:
-            self._count += 1
+            self._count += int(n)
 
     def reset(self) -> None:
         with self._lock:
@@ -64,15 +64,15 @@ class ReducedState:
 
     @property
     def block_x(self) -> np.ndarray:
-        return self.cov[:2, :2]
+        return self.cov[..., :2, :2]
 
     @property
     def block_y(self) -> np.ndarray:
-        return self.cov[2:, 2:]
+        return self.cov[..., 2:, 2:]
 
     @property
     def block_z(self) -> np.ndarray:
-        return self.cov[:2, 2:]
+        return self.cov[..., :2, 2:]
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,13 @@ def reduce_to_modes(
     Parameters
     ----------
     cov : numpy.ndarray
-        Full 6x6 covariance matrix in the fixed quadrature ordering.
+        Full 6x6 covariance matrix in the fixed quadrature ordering, or an
+        (N, 6, 6) stack of them, which gives an (N, 4, 4) stack.
     keep : tuple of str
         Two distinct mode names out of ``mirror``, ``bec``, ``cavity``.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (6, 6):
+    if cov.shape[-2:] != (6, 6) or cov.ndim > 3:
         raise ValidationError(f"expected a 6x6 covariance matrix, got {cov.shape}")
     if len(keep) != 2 or len(set(keep)) != 2:
         raise ValidationError(f"keep must name two distinct modes, got {keep!r}")
@@ -113,7 +114,7 @@ def reduce_to_modes(
                 f"unknown mode {mode!r}; choose from {sorted(MODE_INDICES)}"
             )
     idx = [i for mode in keep for i in MODE_INDICES[mode]]
-    return ReducedState(cov=cov[np.ix_(idx, idx)].copy(), modes=(keep[0], keep[1]))
+    return ReducedState(cov=cov[..., idx, :][..., idx], modes=(keep[0], keep[1]))
 
 
 def _cov_of(state: ReducedState | np.ndarray) -> np.ndarray:
@@ -126,38 +127,67 @@ def _cov_of(state: ReducedState | np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _det2(block: np.ndarray) -> float:
-    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+def _det2(blocks: np.ndarray) -> np.ndarray:
+    return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """Symplectic pairs of a stack of 4x4 covariances, one entry per matrix.
+
+    ``errors[i]`` holds the :class:`NumericalError` of a matrix whose
+    determinant or discriminant is negative beyond the clamp tolerance; its
+    other entries are then meaningless.  ``det_cov`` is the determinant
+    before any clamp.
+    """
+
+    nu_minus: np.ndarray
+    nu_plus: np.ndarray
+    sigma: np.ndarray
+    det_cov: np.ndarray
+    errors: list[NumericalError | None]
+
+
+def _symplectic_pairs(covs: np.ndarray, sign: float) -> _Pairs:
+    """Shared core over an (N, 4, 4) stack: sign=-1 gives the
+    partial-transpose invariant Sigma."""
+    det_raw = np.linalg.det(covs)
+    sigma = _det2(covs[:, :2, :2]) + _det2(covs[:, 2:, 2:]) + 2.0 * sign * _det2(covs[:, :2, 2:])
+    bound = -CLAMP_TOL * np.maximum(1.0, sigma * sigma)
+    det_cov = np.where(det_raw < 0.0, 0.0, det_raw)
+    disc_raw = sigma * sigma - 4.0 * det_cov
+    bad_det = det_raw < bound
+    bad_disc = ~bad_det & (disc_raw < bound)
+    ok = ~(bad_det | bad_disc)
+    nu_plus_sq = 0.5 * (sigma + np.sqrt(np.where(disc_raw < 0.0, 0.0, disc_raw)))
+    # Degenerate state with Sigma <= 0; both eigenvalues collapse.
+    degenerate = nu_plus_sq <= 0.0
+    CLAMP_EVENTS.add(
+        np.count_nonzero((det_raw < 0.0) & ~bad_det)
+        + np.count_nonzero((disc_raw < 0.0) & ok)
+        + np.count_nonzero(degenerate & ok)
+    )
+    nu_plus_sq = np.where(degenerate, 0.0, nu_plus_sq)
+    # nu_-^2 nu_+^2 = det V', a cancellation-free route to the small root.
+    nu_minus = np.where(degenerate, 0.0,
+                        np.sqrt(det_cov / np.where(degenerate, 1.0, nu_plus_sq)))
+    errors: list[NumericalError | None] = [None] * len(covs)
+    for i in np.flatnonzero(bad_det):
+        errors[i] = NumericalError(
+            f"negative covariance determinant {det_raw[i]:.3e} beyond tolerance"
+        )
+    for i in np.flatnonzero(bad_disc):
+        errors[i] = NumericalError(
+            f"negative symplectic discriminant {disc_raw[i]:.3e} beyond tolerance"
+        )
+    return _Pairs(nu_minus, np.sqrt(nu_plus_sq), sigma, det_raw, errors)
 
 
 def _symplectic_pair(cov: np.ndarray, sign: float) -> tuple[float, float]:
-    """Shared core: sign=-1 gives the partial-transpose invariant Sigma."""
-    det_cov = float(np.linalg.det(cov))
-    sigma = _det2(cov[:2, :2]) + _det2(cov[2:, 2:]) + 2.0 * sign * _det2(cov[:2, 2:])
-    scale = max(1.0, sigma * sigma)
-    if det_cov < 0.0:
-        if det_cov < -CLAMP_TOL * scale:
-            raise NumericalError(
-                f"negative covariance determinant {det_cov:.3e} beyond tolerance"
-            )
-        CLAMP_EVENTS.increment()
-        det_cov = 0.0
-    disc = sigma * sigma - 4.0 * det_cov
-    if disc < 0.0:
-        if disc < -CLAMP_TOL * scale:
-            raise NumericalError(
-                f"negative symplectic discriminant {disc:.3e} beyond tolerance"
-            )
-        CLAMP_EVENTS.increment()
-        disc = 0.0
-    nu_plus_sq = 0.5 * (sigma + math.sqrt(disc))
-    if nu_plus_sq <= 0.0:
-        # Degenerate state with Sigma <= 0; both eigenvalues collapse.
-        CLAMP_EVENTS.increment()
-        return 0.0, 0.0
-    # nu_-^2 nu_+^2 = det V', a cancellation-free route to the small root.
-    nu_minus_sq = det_cov / nu_plus_sq
-    return math.sqrt(nu_minus_sq), math.sqrt(nu_plus_sq)
+    pairs = _symplectic_pairs(cov[None], sign)
+    if pairs.errors[0] is not None:
+        raise pairs.errors[0]
+    return float(pairs.nu_minus[0]), float(pairs.nu_plus[0])
 
 
 def symplectic_eigenvalues(state: ReducedState | np.ndarray) -> tuple[float, float]:
@@ -199,17 +229,37 @@ def simon_separability(state: ReducedState | np.ndarray) -> bool:
     return nu_minus >= 0.5
 
 
+def entanglement_results(covs: np.ndarray) -> list[EntanglementResult | NumericalError]:
+    """:func:`entanglement_result` over an (N, 4, 4) stack of symmetric
+    reduced covariances.
+
+    A matrix past the clamp tolerance yields its :class:`NumericalError` in
+    place of a result, so one bad point does not hide its neighbours.
+    """
+    pairs = _symplectic_pairs(covs, sign=-1.0)
+    results: list[EntanglementResult | NumericalError] = []
+    for nu_minus, nu_plus, sigma, det_cov, error in zip(
+        pairs.nu_minus.tolist(), pairs.nu_plus.tolist(), pairs.sigma.tolist(),
+        pairs.det_cov.tolist(), pairs.errors,
+    ):
+        if error is not None:
+            results.append(error)
+            continue
+        log_neg = math.inf if nu_minus == 0.0 else max(0.0, -math.log(2.0 * nu_minus))
+        results.append(EntanglementResult(
+            nu_minus=nu_minus,
+            nu_plus=nu_plus,
+            log_negativity=log_neg,
+            simon_separable=nu_minus >= 0.5,
+            sigma=sigma,
+            det_cov=det_cov,
+        ))
+    return results
+
+
 def entanglement_result(state: ReducedState | np.ndarray) -> EntanglementResult:
     """Bundle all entanglement quantities of a reduced state."""
-    cov = _cov_of(state)
-    nu_minus, nu_plus = _symplectic_pair(cov, sign=-1.0)
-    sigma = _det2(cov[:2, :2]) + _det2(cov[2:, 2:]) - 2.0 * _det2(cov[:2, 2:])
-    log_neg = math.inf if nu_minus == 0.0 else max(0.0, -math.log(2.0 * nu_minus))
-    return EntanglementResult(
-        nu_minus=nu_minus,
-        nu_plus=nu_plus,
-        log_negativity=log_neg,
-        simon_separable=nu_minus >= 0.5,
-        sigma=sigma,
-        det_cov=float(np.linalg.det(cov)),
-    )
+    result = entanglement_results(_cov_of(state)[None])[0]
+    if isinstance(result, NumericalError):
+        raise result
+    return result

@@ -28,6 +28,30 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def _finite(stack: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(stack)):
+        raise ValidationError(f"{name} contains non-finite entries")
+
+
+def residuals(drifts: np.ndarray, diffusions: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Relative Lyapunov residuals ||M V + V M^T + D||_F / ||D||_F of a stack.
+
+    The stacked core of :func:`residual`; a point whose D vanishes gets the
+    absolute residual.
+
+    Raises
+    ------
+    ValidationError
+        If any input contains non-finite entries.
+    """
+    _finite(drifts, "drift")
+    _finite(diffusions, "diffusion")
+    _finite(covs, "covariance")
+    r = drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions
+    scale = np.linalg.norm(diffusions, axis=(-2, -1))
+    return np.linalg.norm(r, axis=(-2, -1)) / np.where(scale == 0.0, 1.0, scale)
+
+
 def residual(drift: np.ndarray, diffusion: np.ndarray, cov: np.ndarray) -> float:
     """Relative Lyapunov residual ||M V + V M^T + D||_F / ||D||_F.
 
@@ -36,11 +60,52 @@ def residual(drift: np.ndarray, diffusion: np.ndarray, cov: np.ndarray) -> float
     drift = _as_square(drift, "drift")
     diffusion = _as_square(diffusion, "diffusion")
     cov = _as_square(cov, "covariance")
-    r = drift @ cov + cov @ drift.T + diffusion
-    scale = np.linalg.norm(diffusion)
-    if scale == 0.0:
-        return float(np.linalg.norm(r))
-    return float(np.linalg.norm(r) / scale)
+    return float(residuals(drift[None], diffusion[None], cov[None])[0])
+
+
+def steady_covariances(
+    drifts: np.ndarray, diffusions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve M V + V M^T = -D for each pair of an (N, n, n) stack.
+
+    The stacked core of :func:`solve_steady_covariance`, without its
+    stability check and residual gate: it returns the symmetrized
+    covariances and their relative residuals, and the caller decides what a
+    residual above ``RESIDUAL_TOL`` means for that point.
+
+    Raises
+    ------
+    ValidationError
+        If any input contains non-finite entries.
+    NumericalError
+        If the vectorized system of any point is singular to working
+        precision; the whole stack fails, so callers that need per-point
+        verdicts solve again one point at a time.
+    """
+    _finite(drifts, "drift")
+    _finite(diffusions, "diffusion")
+    count, n, _ = drifts.shape
+    eye = np.eye(n)
+    # Column-major vec: vec(M V + V M^T) = (I (x) M + M (x) I) vec V, built
+    # entry for entry as np.kron builds it, indices (point, i, a, j, b).
+    k = (
+        eye[None, :, None, :, None] * drifts[:, None, :, None, :]
+        + drifts[:, :, None, :, None] * eye[None, None, :, None, :]
+    ).reshape(count, n * n, n * n)
+
+    def vec_solve(rhs: np.ndarray) -> np.ndarray:
+        # vec(X) of a stack is X^T flattened; the solution comes back the same way.
+        vec = np.linalg.solve(k, -rhs.swapaxes(-1, -2).reshape(count, n * n, 1))
+        return vec.reshape(count, n, n).swapaxes(-1, -2)
+
+    try:
+        covs = vec_solve(diffusions)
+        # One step of iterative refinement buys margin on ill-conditioned systems.
+        covs = covs + vec_solve(drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Lyapunov system is singular to working precision") from exc
+    covs = 0.5 * (covs + covs.swapaxes(-1, -2))
+    return covs, residuals(drifts, diffusions, covs)
 
 
 def solve_steady_covariance(
@@ -87,26 +152,12 @@ def solve_steady_covariance(
                 f"drift matrix is {kind} (spectral abscissa "
                 f"{report.spectral_abscissa:.6e}); no stationary covariance"
             )
-    n = drift.shape[0]
-    eye = np.eye(n)
-    # Column-major vec: vec(M V + V M^T) = (I (x) M + M (x) I) vec V.
-    k = np.kron(eye, drift) + np.kron(drift, eye)
-    try:
-        vec = np.linalg.solve(k, -diffusion.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Lyapunov system is singular to working precision") from exc
-    cov = vec.reshape((n, n), order="F")
-    # One step of iterative refinement buys margin on ill-conditioned systems.
-    r = drift @ cov + cov @ drift.T + diffusion
-    correction = np.linalg.solve(k, -r.reshape(-1, order="F"))
-    cov = cov + correction.reshape((n, n), order="F")
-    cov = 0.5 * (cov + cov.T)
-    rel = residual(drift, diffusion, cov)
-    if rel > RESIDUAL_TOL:
+    covs, rel = steady_covariances(drift[None], diffusion[None])
+    if not rel[0] <= RESIDUAL_TOL:
         raise NumericalError(
-            f"Lyapunov residual {rel:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}"
+            f"Lyapunov residual {rel[0]:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}"
         )
-    return cov
+    return covs[0]
 
 
 def integrate_covariance(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+import numbers
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +39,26 @@ _STRICTLY_POSITIVE = (
     "mirror_mass",
     "mirror_frequency",
 )
+
+
+def finite_real(name: str, value) -> float:
+    """Return ``value`` if it is a finite real number, else raise.
+
+    Booleans, strings and ``None`` are not numbers here, so a mistyped
+    configuration value is reported by name instead of surfacing as a
+    ``TypeError`` deep inside the arithmetic.
+
+    Raises
+    ------
+    ValidationError
+        If ``value`` is not a finite real number.
+    """
+    # float and int first: they short-circuit the slower abstract-class check.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,14 +108,16 @@ class PhysicalInput:
     bec_frequency: float | None = None
 
     def __post_init__(self) -> None:
-        for name in _STRICTLY_POSITIVE:
+        for name, required in _PHYSICAL_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
-        if not (math.isfinite(self.mirror_damping) and self.mirror_damping >= 0):
-            raise ValidationError(f"mirror_damping must be >= 0, got {self.mirror_damping!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValidationError(f"temperature must be >= 0, got {self.temperature!r}")
+            if value is not None or required:
+                finite_real(name, value)
+        for name in _STRICTLY_POSITIVE:
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("mirror_damping", "temperature"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for left, right in _CHOICE_GROUPS:
             message = "exactly one of %s or %s must be supplied" % (
                 "/".join(left),
@@ -110,20 +134,20 @@ class PhysicalInput:
         for name in ("finesse", "cavity_decay", "atom_number",
                      "recoil_frequency", "bec_frequency"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+            if value is not None and not value > 0:
+                raise ValidationError(f"{name} must be > 0, got {value!r}")
         for name in ("bec_coupling", "lattice_depth"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in ("effective_detuning", "bare_detuning"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if value is not None and not value >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
+
+
+#: (field name, whether it is required) of every PhysicalInput field
+_PHYSICAL_FIELDS = tuple((f.name, f.default is MISSING) for f in fields(PhysicalInput))
 
 
 @dataclass(frozen=True)
@@ -191,20 +215,52 @@ class ModelParams:
     n_c: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in _MODEL_FIELDS:
+            finite_real(name, getattr(self, name))
         for name in ("om_m", "om_a", "kappa"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+            if not value > 0:
+                raise ValidationError(f"{name} must be > 0, got {value!r}")
         for name in ("gamma", "G_mc", "G_ac", "n_th", "n_c"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-        if not math.isfinite(self.detuning):
-            raise ValidationError(f"detuning must be finite, got {self.detuning!r}")
+            if not value >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
+
+
+_MODEL_FIELDS = ModelParams.field_names()
+
+
+@dataclass(frozen=True)
+class ModelBatch:
+    """Field-wise arrays of N :class:`ModelParams`, the sweep's unit of work.
+
+    Each attribute is a float array of shape (N,) holding that field of every
+    model in order.  The layer functions that take a :class:`ModelParams`
+    (:func:`~becmirror.dynamics.build_drift`, ...) broadcast over these
+    arrays, so a batch and a single model run the same arithmetic.
+    """
+
+    om_m: np.ndarray
+    om_a: np.ndarray
+    gamma: np.ndarray
+    kappa: np.ndarray
+    detuning: np.ndarray
+    G_mc: np.ndarray
+    G_ac: np.ndarray
+    n_th: np.ndarray
+    n_c: np.ndarray
+
+    @classmethod
+    def stack(cls, params: Sequence[ModelParams]) -> ModelBatch:
+        """Batch of already validated models."""
+        return cls(**{
+            name: np.array([getattr(p, name) for p in params], dtype=float)
+            for name in _MODEL_FIELDS
+        })
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:

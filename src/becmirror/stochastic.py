@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +56,16 @@ _TAYLOR_TERMS = 18
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream)."""
+    """Philox generator keyed by (seed, stream).
+
+    Raises
+    ------
+    ValidationError
+        If the seed or the stream is not a non-negative integer.
+    """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
 
 
@@ -294,6 +304,8 @@ def ensemble_covariance(
     for traj in trajectories:
         if traj.dt != dt:
             raise ValidationError("trajectories must share a common dt")
+    if not (math.isfinite(burn_in) and burn_in >= 0):
+        raise ValidationError(f"burn_in must be finite and >= 0, got {burn_in!r}")
     span = min(traj.times[-1] for traj in trajectories) - burn_in
     if span <= 0:
         raise ValidationError(

@@ -1,43 +1,59 @@
 """Parameter sweeps over the full steady-state entanglement pipeline.
 
 A sweep grid is defined by one or two axes over raw experimental inputs,
-bare couplings, or reduced model parameters.  Every grid point re-derives
-the model from scratch, checks stability (eigenvalue verdict authoritative),
-solves the Lyapunov equation and evaluates the entanglement measures.
+bare couplings, or reduced model parameters.  The model of each grid point
+is assembled from the configuration, which is derived once when only
+coupling or model axes vary.  The grid is then evaluated in blocks of
+:data:`BLOCK_POINTS` points: each block goes through the stacked forms of the
+stability check (eigenvalue verdict authoritative), the Lyapunov solve and the
+entanglement measures, the same code the single-point functions run at N = 1.
 Unstable points are evaluations, not failures: their rows carry an explicit
-``unstable`` status and empty measure columns.  Output is deterministic
-byte-for-byte, with a provenance header carrying a configuration hash and
-the pinned constants version.
+``unstable`` status and empty measure columns.  A point that fails carries
+the error in its own row and leaves its neighbours untouched.  Output is
+deterministic byte-for-byte, with a provenance header carrying a
+configuration hash and the pinned constants version.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import asdict, dataclass, replace
 from importlib import metadata
 
 import numpy as np
 
 from . import constants
-from .dynamics import build_diffusion, build_drift, check_stability_eigen
+from .dynamics import (
+    build_diffusion,
+    build_drift,
+    check_stability_criterion,
+    eigen_stability,
+)
 from .effective import effective_parameters
-from .entanglement import entanglement_result, reduce_to_modes
+from .entanglement import entanglement_results, reduce_to_modes
 from .errors import BecMirrorError, ValidationError
-from .lyapunov import residual as lyapunov_residual
-from .lyapunov import solve_steady_covariance
+from .lyapunov import RESIDUAL_TOL, steady_covariances
 from .params import (
     DerivedParams,
+    ModelBatch,
     ModelParams,
     PhysicalInput,
     derive_parameters,
+    finite_real,
     model_params,
 )
 
 SCHEMA_VERSION = 1
 
+#: grid points evaluated together by the stacked layer calls; the block's
+#: (N, 36, 36) Lyapunov systems and their temporaries stay near 2 MB, while
+#: a whole-grid stack would raise the peak memory by tens of MB
+BLOCK_POINTS = 64
+
 _BARE_COUPLING_AXES = ("g_mc", "g_ac")
+_MODEL_FIELDS = frozenset(ModelParams.field_names())
 
 _MEASURE_COLUMNS = (
     "status",
@@ -67,7 +83,9 @@ class AxisSpec:
 
     ``name`` must be a :class:`PhysicalInput` field, a bare coupling override
     (``g_mc`` or ``g_ac``), or a :class:`ModelParams` field (applied after
-    derivation).  ``scale`` is ``linear`` or ``log``.
+    derivation).  ``scale`` is ``linear`` or ``log``.  ``start`` and
+    ``stop`` must be finite real numbers and ``points`` an integer; they are
+    stored as ``float`` and ``int``.
     """
 
     name: str
@@ -82,10 +100,15 @@ class AxisSpec:
             | set(_BARE_COUPLING_AXES)
             | set(ModelParams.field_names())
         )
-        if self.name not in valid:
+        if not isinstance(self.name, str) or self.name not in valid:
             raise ValidationError(
                 f"unknown axis parameter {self.name!r}; valid names: {sorted(valid)}"
             )
+        object.__setattr__(self, "start", float(finite_real("axis start", self.start)))
+        object.__setattr__(self, "stop", float(finite_real("axis stop", self.stop)))
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ValidationError(f"axis points must be an integer, got {self.points!r}")
+        object.__setattr__(self, "points", int(self.points))
         if self.points < 1:
             raise ValidationError(f"axis needs at least 1 point, got {self.points}")
         if self.scale not in ("linear", "log"):
@@ -145,28 +168,30 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _apply_axes(
-    base: PhysicalInput, names: tuple[str, ...], values: tuple[float, ...]
+def _model_at(
+    base: PhysicalInput,
+    shared: DerivedParams | None,
+    names: tuple[str, ...],
+    values: tuple[float, ...],
 ) -> ModelParams:
-    physical = base
+    """Model of one grid point; ``shared`` is the base's derivation when no
+    physical axis varies."""
+    physical_overrides: dict[str, float] = {}
     bare_overrides: dict[str, float] = {}
     model_overrides: dict[str, float] = {}
-    physical_fields = set(PhysicalInput.field_names())
-    model_fields = set(ModelParams.field_names())
     for name, value in zip(names, values):
-        if name in physical_fields:
-            physical = replace(physical, **{name: float(value)})
-        elif name in _BARE_COUPLING_AXES:
-            bare_overrides[name] = float(value)
-        elif name in model_fields:
-            model_overrides[name] = float(value)
-        else:  # pragma: no cover - AxisSpec already validated
-            raise ValidationError(f"unknown axis parameter {name!r}")
-    derived = derive_parameters(physical)
+        if name in _BARE_COUPLING_AXES:
+            bare_overrides[name] = value
+        elif name in _MODEL_FIELDS:
+            model_overrides[name] = value
+        else:
+            physical_overrides[name] = value
+    if shared is not None:
+        derived = shared
+    else:
+        derived = derive_parameters(replace(base, **physical_overrides))
     if bare_overrides:
-        derived = DerivedParams(
-            **{**asdict(derived), **bare_overrides}
-        )
+        derived = replace(derived, **bare_overrides)
     detuning = model_overrides.pop("detuning", None)
     params = model_params(derived, detuning)
     if model_overrides:
@@ -174,57 +199,74 @@ def _apply_axes(
     return params
 
 
-def evaluate_point(
-    base: PhysicalInput,
-    axis_names: tuple[str, ...],
-    axis_values: tuple[float, ...],
-    include_effective: bool,
-) -> SweepRow:
-    """Evaluate one grid point; failures are captured in the row status."""
-    cells: dict = {name: None for name in _MEASURE_COLUMNS}
+def _evaluate(params: list[ModelParams], cells: list[dict], include_effective: bool) -> None:
+    """Fill the row cells of a block of models through the stacked layer calls.
+
+    Raises
+    ------
+    BecMirrorError
+        When a stacked call fails for the block as a whole.
+    """
+    batch = ModelBatch.stack(params)
+    drifts = build_drift(batch)
+    _, abscissa, _, stable = eigen_stability(drifts)
+    criterion, passes = check_stability_criterion(batch)
+    for row, is_stable, a, value, ok in zip(
+        cells, stable.tolist(), abscissa.tolist(), criterion.tolist(), passes.tolist()
+    ):
+        row.update(status="ok" if is_stable else "unstable", eigen_stable=is_stable,
+                   spectral_abscissa=a, criterion_value=value, criterion_pass=ok)
     if include_effective:
-        cells.update({name: None for name in _EFFECTIVE_COLUMNS})
+        for row, p in zip(cells, params):
+            if p.detuning > 0:
+                eff = effective_parameters(
+                    p.G_mc, p.G_ac, p.detuning, p.kappa, om_m=p.om_m, om_a=p.om_a
+                )
+                row.update(freq_shift_mirror=eff.freq_shift_mirror,
+                           freq_shift_bec=eff.freq_shift_bec,
+                           coupling_ma=eff.coupling_ma, adiabatic=eff.adiabatic)
+    index = np.flatnonzero(stable)
+    if index.size == 0:
+        return
+    covs, residuals = steady_covariances(drifts[index], build_diffusion(batch)[index])
+    passed = residuals <= RESIDUAL_TOL
+    results = iter(entanglement_results(reduce_to_modes(covs[passed]).cov))
+    for i, rel, gate in zip(index.tolist(), residuals.tolist(), passed.tolist()):
+        row = cells[i]
+        if not gate:
+            row["status"] = "error:NumericalError"
+            continue
+        row["residual"] = rel
+        result = next(results)
+        if isinstance(result, BecMirrorError):
+            row["status"] = f"error:{type(result).__name__}"
+            continue
+        row.update(nu_minus=result.nu_minus, nu_plus=result.nu_plus,
+                   log_negativity=result.log_negativity, sigma=result.sigma,
+                   det_cov=result.det_cov)
+
+
+def _evaluate_or_split(
+    params: list[ModelParams], cells: list[dict], include_effective: bool
+) -> None:
+    """:func:`_evaluate`, falling back to one point at a time when the block
+    fails, so that only the failing point carries the error."""
     try:
-        params = _apply_axes(base, axis_names, axis_values)
-        drift = build_drift(params)
-        report = check_stability_eigen(drift, params)
-        cells["eigen_stable"] = report.is_stable
-        cells["spectral_abscissa"] = report.spectral_abscissa
-        cells["criterion_value"] = report.criterion_value
-        cells["criterion_pass"] = report.criterion_pass
-        if include_effective and params.detuning > 0:
-            eff = effective_parameters(
-                params.G_mc, params.G_ac, params.detuning, params.kappa,
-                om_m=params.om_m, om_a=params.om_a,
-            )
-            cells["freq_shift_mirror"] = eff.freq_shift_mirror
-            cells["freq_shift_bec"] = eff.freq_shift_bec
-            cells["coupling_ma"] = eff.coupling_ma
-            cells["adiabatic"] = eff.adiabatic
-        if not report.is_stable:
-            cells["status"] = "unstable"
-            return SweepRow(axis_values=axis_values, cells=cells)
-        diffusion = build_diffusion(params)
-        cov = solve_steady_covariance(drift, diffusion, check_stability=False)
-        cells["residual"] = lyapunov_residual(drift, diffusion, cov)
-        result = entanglement_result(reduce_to_modes(cov))
-        cells["nu_minus"] = result.nu_minus
-        cells["nu_plus"] = result.nu_plus
-        cells["log_negativity"] = result.log_negativity
-        cells["sigma"] = result.sigma
-        cells["det_cov"] = result.det_cov
-        cells["status"] = "ok"
+        _evaluate(params, cells, include_effective)
     except BecMirrorError as exc:
-        cells["status"] = f"error:{type(exc).__name__}"
-    return SweepRow(axis_values=axis_values, cells=cells)
+        if len(params) == 1:
+            cells[0]["status"] = f"error:{type(exc).__name__}"
+            return
+        for p, row in zip(params, cells):
+            _evaluate_or_split([p], [row], include_effective)
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in row-major order.
 
-    Grid points are pure and independent, so they are mapped over a thread
-    pool by default; the ordered reduce keeps the output deterministic.
-    ``workers=1`` forces serial evaluation.
+    Points are evaluated in blocks of :data:`BLOCK_POINTS` through the same
+    stacked code whatever the grid size, so a point's row does not depend on
+    the block it falls in, and the output is deterministic.
     """
     axis_names = tuple(axis.name for axis in spec.axes)
     grids = [axis.values() for axis in spec.axes]
@@ -232,17 +274,28 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         points = [(float(v),) for v in grids[0]]
     else:
         points = [(float(a), float(b)) for a in grids[0] for b in grids[1]]
-
-    def job(values: tuple[float, ...]) -> SweepRow:
-        return evaluate_point(spec.base, axis_names, values, spec.include_effective)
-
-    if workers == 1 or len(points) == 1:
-        rows = tuple(job(v) for v in points)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(job, points))
+    physical_fields = set(PhysicalInput.field_names())
+    shared = None
+    if not physical_fields.intersection(axis_names):
+        shared = derive_parameters(spec.base)
 
     columns = _MEASURE_COLUMNS + (_EFFECTIVE_COLUMNS if spec.include_effective else ())
+    rows: list[SweepRow] = []
+    for start in range(0, len(points), BLOCK_POINTS):
+        block = points[start : start + BLOCK_POINTS]
+        cells = [dict.fromkeys(columns) for _ in block]
+        params, evaluated = [], []
+        for values, row in zip(block, cells):
+            try:
+                params.append(_model_at(spec.base, shared, axis_names, values))
+            except BecMirrorError as exc:
+                row["status"] = f"error:{type(exc).__name__}"
+                continue
+            evaluated.append(row)
+        if params:
+            _evaluate_or_split(params, evaluated, spec.include_effective)
+        rows.extend(SweepRow(axis_values=v, cells=c) for v, c in zip(block, cells))
+
     provenance = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": _config_hash(spec),
@@ -250,7 +303,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         "package_version": _package_version(),
     }
     return SweepResult(
-        axis_names=axis_names, columns=columns, rows=rows, provenance=provenance
+        axis_names=axis_names, columns=columns, rows=tuple(rows), provenance=provenance
     )
 
 

@@ -49,6 +49,8 @@ from becmirror import (
     thermal_occupation,
 )
 
+from becmirror.sweep import BLOCK_POINTS
+
 from support import (
     TWO_PI,
     entangled_model,
@@ -401,17 +403,25 @@ class TestCriterion8StabilityDiagnostics:
 
 class TestCriterion9DeterminismRegression:
     def test_sweep_output_byte_identical(self):
+        # Three evaluation blocks, crossing the stability boundary.
         spec = SweepSpec(
             base=reference_input(),
-            axes=(AxisSpec(name="g_mc", start=0.0, stop=200.0, points=13),),
+            axes=(AxisSpec(name="g_mc", start=0.0, stop=400.0,
+                           points=2 * BLOCK_POINTS + 3),),
         )
         blobs = [emit(run_sweep(spec)) for _ in range(2)]
-        blobs.append(emit(run_sweep(spec, workers=4)))
-        ok = blobs[0] == blobs[1] == blobs[2]
+        table = blobs[0].splitlines()[6:]
+        singles = [
+            emit(run_sweep(replace(spec, axes=(AxisSpec(name="g_mc", start=v, stop=v,
+                                                         points=1),)))).splitlines()[-1]
+            for v in spec.axes[0].values()
+        ]
+        repeated, blocked = blobs[0] == blobs[1], table == singles
         line = report(
             9,
-            ok,
-            f"repeated sweep runs (serial and 4 workers) produced "
-            f"byte-identical CSV ({len(blobs[0])} bytes)",
+            repeated and blocked,
+            f"repeated sweep runs produced byte-identical CSV ({len(blobs[0])} bytes): "
+            f"{repeated}; its {len(table)} rows equal the one-point sweeps byte for "
+            f"byte: {blocked}",
         )
-        assert ok, line
+        assert repeated and blocked, line

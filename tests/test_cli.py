@@ -69,6 +69,25 @@ class TestConfigLoading:
         with pytest.raises(Exception, match="mystery"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([DEMO_CONFIG], "JSON object"),
+            ({k: v for k, v in DEMO_CONFIG.items() if k != "mirror_mass"}, "mirror_mass"),
+            (dict(DEMO_CONFIG, temperature="1e-5"), "temperature"),
+            (dict(DEMO_CONFIG, mirror_damping=None), "mirror_damping"),
+            (dict(DEMO_CONFIG, cavity_length=True), "cavity_length"),
+            (dict(DEMO_CONFIG, frequency_unit="hz", mirror_frequency="1e6"),
+             "mirror_frequency"),
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "entangle", "--config", str(path))
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
 
 class TestSimpleCommands:
     def test_derive(self, demo_config, capsys):
@@ -171,7 +190,9 @@ class TestSweepCommand:
         assert len(doc["rows"]) == 4
 
     def test_bad_axis_syntax(self, demo_config, capsys):
-        for axis in ("temperature:1:2", "temperature:0:1:x", "temperature:a:1:3"):
+        for axis in ("temperature:1:2", "temperature:0:1:x", "temperature:a:1:3",
+                     "temperature:nan:1e-3:3", "temperature:0:inf:3",
+                     "temperature:0:1:2.5"):
             code, _, err = run_cli(
                 capsys, "sweep", "--config", demo_config, "--axis", axis, "--out", "-",
             )
@@ -224,6 +245,10 @@ class TestStochasticCommands:
             ["sde-verify", "--dt=-1e-9"],
             ["sde-verify", "--horizon", "0"],
             ["homodyne-sim", "--probe-kappa", "0"],
+            ["sde-verify", "--seed=-1"],
+            ["homodyne-sim", "--seed=-1"],
+            ["sde-verify", "--burn-in-factor=-5"],
+            ["homodyne-sim", "--burn-in-factor", "nan"],
         ],
     )
     def test_zero_or_negative_values_rejected(self, demo_config, capsys, argv):

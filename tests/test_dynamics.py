@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from becmirror import (
+    ModelBatch,
     ModelParams,
     QUADRATURES,
     ValidationError,
@@ -15,6 +16,7 @@ from becmirror import (
     model_params,
     symplectic_form,
 )
+from becmirror.dynamics import eigen_stability
 from dataclasses import replace
 
 from support import TWO_PI, mild_model, reference_input, routh_hurwitz_verdict
@@ -233,6 +235,31 @@ class TestStabilityEigen:
             report = check_stability_eigen(drift)
             assert report.is_stable == verdict
             checked += 1
+
+
+class TestBatch:
+    def test_stacks_equal_single_models(self):
+        models = [
+            mild_model(),
+            mild_model(G_mc=2.0, detuning=0.3),
+            mild_model(detuning=-0.5, n_th=3.0, n_c=0.1),
+            mild_model(G_mc=0.0, G_ac=0.0),
+        ]
+        batch = ModelBatch.stack(models)
+        drifts, diffusions = build_drift(batch), build_diffusion(batch)
+        criterion, passes = check_stability_criterion(batch)
+        eigenvalues, abscissa, marginal, stable = eigen_stability(drifts)
+        for i, p in enumerate(models):
+            np.testing.assert_array_equal(drifts[i], build_drift(p))
+            np.testing.assert_array_equal(diffusions[i], build_diffusion(p))
+            assert (criterion[i], passes[i]) == check_stability_criterion(p)
+            assert abscissa[i] == pytest.approx(
+                np.max(np.linalg.eigvals(build_drift(p)).real), rel=1e-12, abs=1e-15
+            )
+            report = check_stability_eigen(build_drift(p))
+            assert (stable[i], marginal[i]) == (report.is_stable, report.is_marginal)
+        assert stable.tolist() == [True, False, False, False]
+        assert marginal.tolist() == [False, False, False, True]
 
 
 class TestOrderingConstants:

@@ -18,7 +18,7 @@ from becmirror import (
     solve_steady_covariance,
     symplectic_eigenvalues,
 )
-from becmirror.entanglement import CLAMP_EVENTS
+from becmirror.entanglement import CLAMP_EVENTS, entanglement_results
 
 from support import (
     entangled_model,
@@ -101,6 +101,27 @@ class TestSymplecticEigenvalues:
         cov = np.diag([1.0, -1.0, 1.0, 1.0])
         with pytest.raises(NumericalError):
             symplectic_eigenvalues(cov)
+
+    def test_stack_isolates_a_matrix_past_the_clamp_band(self):
+        rng = np.random.default_rng(29)
+        covs = [random_physical_covariance(rng) for _ in range(5)]
+        covs = [0.5 * (cov + cov.T) for cov in covs]
+        covs.insert(2, np.diag([1.0, -1.0, 1.0, 1.0]))  # past the band: an error
+        covs.insert(4, np.diag([1.0, -1e-14, 1.0, 1.0]))  # inside it: one clamp
+        CLAMP_EVENTS.reset()
+        results = entanglement_results(np.stack(covs))
+        assert CLAMP_EVENTS.count == 1
+        assert isinstance(results[2], NumericalError)
+        for i, cov in enumerate(covs):
+            if i == 2:
+                continue
+            assert results[i] == entanglement_result(cov)
+            if i == 4:
+                assert results[i].nu_minus == 0.0
+                continue
+            reference = pt_symplectic_oracle(cov)
+            assert results[i].nu_minus == pytest.approx(reference[0], rel=1e-9, abs=1e-9)
+            assert results[i].nu_plus == pytest.approx(reference[1], rel=1e-9, abs=1e-9)
 
     def test_clamps_and_counts_boundary_cases(self):
         CLAMP_EVENTS.reset()

@@ -18,6 +18,7 @@ from becmirror import (
     symplectic_form,
     thermal_occupation,
 )
+from becmirror.lyapunov import RESIDUAL_TOL, steady_covariances
 
 from support import (
     TWO_PI,
@@ -32,6 +33,26 @@ def damped_mode(gamma: float, omega: float, n_th: float):
     drift = np.array([[-gamma, omega], [-omega, -gamma]])
     diffusion = gamma * (2.0 * n_th + 1.0) * np.eye(2)
     return drift, diffusion
+
+
+class TestStackedSolver:
+    def test_stack_matches_single_solves_and_scipy(self):
+        rng = np.random.default_rng(5)
+        systems = [random_stable_system(rng, dim) for dim in (6, 6, 6, 6, 6)]
+        drifts = np.stack([drift for drift, _ in systems])
+        diffusions = np.stack([diffusion for _, diffusion in systems])
+        covs, rel = steady_covariances(drifts, diffusions)
+        for i, (drift, diffusion) in enumerate(systems):
+            np.testing.assert_array_equal(covs[i], solve_steady_covariance(drift, diffusion))
+            assert rel[i] == residual(drift, diffusion, covs[i]) <= RESIDUAL_TOL
+            reference = scipy.linalg.solve_continuous_lyapunov(drift, -diffusion)
+            np.testing.assert_allclose(covs[i], reference, rtol=1e-9, atol=1e-12)
+
+    def test_singular_member_fails_the_whole_stack(self):
+        # M = 0 makes I (x) M + M (x) I vanish.
+        drifts = np.stack([-np.eye(6), np.zeros((6, 6))])
+        with pytest.raises(NumericalError, match="singular"):
+            steady_covariances(drifts, np.stack([np.eye(6), np.eye(6)]))
 
 
 class TestSolver:

@@ -44,6 +44,22 @@ class TestPhysicalInputValidation:
         inp = reference_input(bec_coupling=None, lattice_depth=10.0, atom_number=1e4)
         assert derive_parameters(inp).g_ac == pytest.approx(10.0 * 100.0 / 2.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mirror_damping", None),
+            ("temperature", "1e-5"),
+            ("finesse", "1e4"),
+            ("cavity_length", True),
+            ("laser_power", math.nan),
+            ("effective_detuning", math.inf),
+            ("bec_coupling", [100.0]),
+        ],
+    )
+    def test_rejects_values_that_are_not_finite_real_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            reference_input(**{field: value})
+
     def test_negative_detuning_allowed(self):
         inp = reference_input(effective_detuning=-1e6)
         assert derive_parameters(inp).detuning == -1e6

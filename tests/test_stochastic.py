@@ -178,6 +178,9 @@ class TestSimulateTrajectoriesExact:
             (DAMPED_DRIFT, -np.eye(2), {}, ValidationError),
             (DAMPED_DRIFT, None, {"n_trajectories": 0}, ValidationError),
             (DAMPED_DRIFT, None, {"horizon": 1e8, "n_trajectories": 4}, ValidationError),
+            (DAMPED_DRIFT, None, {"seed": -1}, ValidationError),
+            (DAMPED_DRIFT, None, {"seed": 1.5}, ValidationError),
+            (DAMPED_DRIFT, None, {"first_stream": -1}, ValidationError),
         ],
     )
     def test_rejects_bad_input(self, drift, cov0, kwargs, error):
@@ -237,6 +240,15 @@ class TestEnsembleCovariance:
         )
         with pytest.raises(ValidationError, match="burn_in"):
             ensemble_covariance(trajs, burn_in=10.0)
+
+    @pytest.mark.parametrize("burn_in", [-5.0, math.nan, -math.inf])
+    def test_negative_or_non_finite_burn_in_rejected(self, burn_in):
+        trajs = simulate_trajectories(
+            DAMPED_DRIFT, damped_diffusion(0.0), None,
+            dt=0.02, horizon=5.0, seed=6, n_trajectories=2,
+        )
+        with pytest.raises(ValidationError, match="burn_in"):
+            ensemble_covariance(trajs, burn_in=burn_in)
 
     def test_weak_convergence_rate(self):
         # Error against the exact fixed point falls like 1/sqrt(samples) over

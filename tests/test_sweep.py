@@ -1,8 +1,11 @@
+import math
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becmirror import (
     AxisSpec,
@@ -19,7 +22,9 @@ from becmirror import (
     run_sweep,
     solve_steady_covariance,
 )
-from becmirror.sweep import evaluate_point
+from becmirror.cli import _parse_axis
+from becmirror.errors import BecMirrorError
+from becmirror.sweep import BLOCK_POINTS
 
 from support import TWO_PI, reference_input
 
@@ -28,6 +33,34 @@ def small_spec(**axis_overrides) -> SweepSpec:
     axis = dict(name="g_mc", start=20.0, stop=120.0, points=6)
     axis.update(axis_overrides)
     return SweepSpec(base=reference_input(), axes=(AxisSpec(**axis),))
+
+
+_AXIS_NAMES = st.sampled_from(["temperature", "g_mc", "G_mc", "detuning", "flux", ""])
+_AXIS_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e400", "-inf", "nan", "1_0", "True", ""]),
+    st.text(max_size=4),
+)
+_AXIS_POINTS = st.one_of(
+    st.integers(-2, 20).map(str),
+    st.sampled_from(["2.5", "1e1", "1_0", "True", ""]),
+)
+#: axis strings, mostly of the right shape, with valid and invalid pieces
+_AXIS_STRINGS = st.one_of(
+    st.text(max_size=40),
+    st.tuples(_AXIS_NAMES, _AXIS_NUMBERS, _AXIS_NUMBERS, _AXIS_POINTS).map(":".join),
+    st.tuples(_AXIS_NAMES, _AXIS_NUMBERS, _AXIS_NUMBERS, _AXIS_POINTS,
+              st.sampled_from(["log", "linear", "x"])).map(":".join),
+)
+
+
+def single_point_row(spec: SweepSpec, values: tuple[float, ...]):
+    """The row of one grid point, evaluated as a sweep of that point alone."""
+    axes = tuple(
+        AxisSpec(name=axis.name, start=value, stop=value, points=1)
+        for axis, value in zip(spec.axes, values)
+    )
+    return run_sweep(replace(spec, axes=axes)).rows[0]
 
 
 class TestAxisSpec:
@@ -48,6 +81,32 @@ class TestAxisSpec:
     def test_single_point_axis(self):
         axis = AxisSpec(name="temperature", start=5.0, stop=5.0, points=1)
         np.testing.assert_allclose(axis.values(), [5.0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("start", math.nan), ("start", math.inf), ("stop", -math.inf),
+        ("start", "1e-6"), ("stop", None), ("start", True),
+        ("points", 2.5), ("points", True), ("points", "3"),
+    ])
+    def test_rejects_non_finite_bounds_and_non_integer_points(self, field, value):
+        axis = dict(name="temperature", start=1e-6, stop=1e-5, points=3)
+        axis[field] = value
+        with pytest.raises(ValidationError, match=field):
+            AxisSpec(**axis)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        axis = AxisSpec(name="temperature", start=np.float32(1.0), stop=2,
+                        points=np.int64(3))
+        assert (type(axis.start), type(axis.stop), type(axis.points)) == (float, float, int)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_AXIS_STRINGS)
+    def test_any_axis_string_parses_or_raises_package_error(self, text):
+        try:
+            axis = _parse_axis(text)
+        except BecMirrorError:
+            return
+        assert isinstance(axis, AxisSpec)
+        assert math.isfinite(axis.start) and math.isfinite(axis.stop)
 
 
 class TestSweepSpec:
@@ -139,22 +198,46 @@ class TestRunSweep:
 
     def test_point_evaluation_is_order_independent(self):
         spec = small_spec()
-        result = run_sweep(spec, workers=1)
+        result = run_sweep(spec)
         points = [row.axis_values for row in result.rows]
         shuffled = points.copy()
         random.Random(3).shuffle(shuffled)
-        rebuilt = {
-            values: evaluate_point(spec.base, ("g_mc",), values, False)
-            for values in shuffled
-        }
+        rebuilt = {values: single_point_row(spec, values) for values in shuffled}
         for row in result.rows:
             assert rebuilt[row.axis_values].cells == row.cells
 
-    def test_parallel_matches_serial(self):
-        spec = small_spec()
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=4)
-        assert emit(serial) == emit(parallel)
+    def test_blocks_match_single_point_sweeps(self):
+        # Three blocks, the last one partial; negative G_mc is invalid, and
+        # the drift loses stability as G_mc grows.
+        spec = SweepSpec(
+            base=reference_input(),
+            axes=(AxisSpec(name="G_mc", start=-2e7, stop=2e8,
+                           points=2 * BLOCK_POINTS + 3),),
+            include_effective=True,
+        )
+        result = run_sweep(spec)
+        statuses = [row.cells["status"] for row in result.rows]
+        assert set(statuses) == {"error:ValidationError", "ok", "unstable"}
+        for row in result.rows:
+            assert single_point_row(spec, row.axis_values) == row
+
+    def test_failing_point_leaves_its_block_neighbours_untouched(self):
+        # n_th = 1e308 overflows the mirror's diffusion entry to inf, which
+        # fails the stacked Lyapunov call of the whole block.
+        spec = SweepSpec(
+            base=reference_input(),
+            axes=(
+                AxisSpec(name="n_th", start=0.0, stop=1e308, points=2),
+                AxisSpec(name="g_mc", start=20.0, stop=120.0, points=6),
+            ),
+        )
+        with np.errstate(over="ignore"):
+            result = run_sweep(spec)
+            singles = [single_point_row(spec, row.axis_values) for row in result.rows]
+        statuses = [row.cells["status"] for row in result.rows]
+        assert statuses == ["ok"] * 6 + ["error:ValidationError"] * 6
+        assert list(result.rows) == singles
+        assert all(row.cells["eigen_stable"] for row in result.rows)
 
     def test_larger_symplectic_eigenvalue_diagnostic(self):
         # nu_plus is emitted per row so its claimed separation from the 1/2
