@@ -17,7 +17,6 @@ squeezed states.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,9 @@ CLAMP_TOL = 1e-12
 
 
 class ClampCounter:
-    """Thread-safe counter of domain-boundary clamps (sweep diagnostic)."""
+    """Counter of domain-boundary clamps (sweep diagnostic)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._count = 0
 
     @property
@@ -44,12 +42,10 @@ class ClampCounter:
         return self._count
 
     def add(self, n: int) -> None:
-        with self._lock:
-            self._count += int(n)
+        self._count += int(n)
 
     def reset(self) -> None:
-        with self._lock:
-            self._count = 0
+        self._count = 0
 
 
 CLAMP_EVENTS = ClampCounter()

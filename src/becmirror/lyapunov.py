@@ -1,14 +1,18 @@
 """Steady-state Lyapunov solver and its matrix-ODE integration oracle.
 
 The stationary covariance of dR/dt = M R + F with symmetrized noise matrix D
-solves M V + V M^T = -D.  At the fixed system sizes used here the equation is
-solved exactly by vectorization: (I (x) M + M (x) I) vec V = -vec D as a dense
-linear system.  :func:`integrate_covariance` advances dV/dt = M V + V M^T + D
-with a classical fourth-order Runge-Kutta scheme and serves as an independent
-cross-check of the algebraic solution.
+solves M V + V M^T = -D.  The operator V -> M V + V M^T maps symmetric
+matrices to symmetric ones, so at the fixed system sizes used here the
+equation is solved exactly as a dense linear system in the n(n+1)/2 entries
+of the upper triangle of V (21 unknowns for n = 6), one equation per entry of
+the upper triangle.  :func:`integrate_covariance` advances
+dV/dt = M V + V M^T + D with a classical fourth-order Runge-Kutta scheme and
+serves as an independent cross-check of the algebraic solution.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -63,48 +67,82 @@ def residual(drift: np.ndarray, diffusion: np.ndarray, cov: np.ndarray) -> float
     return float(residuals(drift[None], diffusion[None], cov[None])[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _symmetric_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the Lyapunov operator on symmetric n x n matrices.
+
+    Returns ``(rows, cols, first, second, unknown)``, all read-only:
+
+    - ``rows``, ``cols``: the upper-triangle positions i <= j, in the order
+      of both the m = n(n+1)/2 unknowns V_ij and the equations
+      (M V + V M^T)_ij = -D_ij;
+    - ``first``, ``second``: (m, m) flat indices into the entries of M with
+      a zero appended at n*n; equation e's coefficient on unknown u is the
+      sum of the two entries they pick.  (M V)_ij = sum_k M_ik V_kj puts
+      M_ik on the unknown holding V_kj and (V M^T)_ij = sum_k M_jk V_ik puts
+      M_jk on the one holding V_ik; each sum reaches an unknown at most once,
+      so one table per sum holds every term;
+    - ``unknown``: the (n, n) index of the unknown holding V_ij = V_ji.
+    """
+    rows, cols = np.triu_indices(n)
+    m = rows.size
+    unknown = np.empty((n, n), dtype=np.intp)
+    unknown[rows, cols] = unknown[cols, rows] = np.arange(m)
+    first = np.full((m, m), n * n, dtype=np.intp)
+    second = np.full((m, m), n * n, dtype=np.intp)
+    for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        for k in range(n):
+            first[e, unknown[k, j]] = i * n + k
+            second[e, unknown[i, k]] = j * n + k
+    tables = (rows, cols, first, second, unknown)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def steady_covariances(
     drifts: np.ndarray, diffusions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve M V + V M^T = -D for each pair of an (N, n, n) stack.
 
     The stacked core of :func:`solve_steady_covariance`, without its
-    stability check and residual gate: it returns the symmetrized
-    covariances and their relative residuals, and the caller decides what a
-    residual above ``RESIDUAL_TOL`` means for that point.
+    stability check and residual gate: it returns the covariances and their
+    relative residuals, and the caller decides what a residual above
+    ``RESIDUAL_TOL`` means for that point.  Each point is one (m, m) linear
+    system in the m = n(n+1)/2 upper-triangle entries of V, whose
+    coefficients are gathered from M (see :func:`_symmetric_tables`), with
+    the symmetric part of D on the right-hand side, followed by one step of
+    iterative refinement.  V is filled from those entries, so it is
+    symmetric exactly.
 
     Raises
     ------
     ValidationError
         If any input contains non-finite entries.
     NumericalError
-        If the vectorized system of any point is singular to working
-        precision; the whole stack fails, so callers that need per-point
-        verdicts solve again one point at a time.
+        If the system of any point is singular to working precision; the
+        whole stack fails, so callers that need per-point verdicts solve
+        again one point at a time.
     """
     _finite(drifts, "drift")
     _finite(diffusions, "diffusion")
     count, n, _ = drifts.shape
-    eye = np.eye(n)
-    # Column-major vec: vec(M V + V M^T) = (I (x) M + M (x) I) vec V, built
-    # entry for entry as np.kron builds it, indices (point, i, a, j, b).
-    k = (
-        eye[None, :, None, :, None] * drifts[:, None, :, None, :]
-        + drifts[:, :, None, :, None] * eye[None, None, :, None, :]
-    ).reshape(count, n * n, n * n)
+    rows, cols, first, second, unknown = _symmetric_tables(n)
+    padded = np.zeros((count, n * n + 1))
+    padded[:, : n * n] = drifts.reshape(count, n * n)
+    system = padded[:, first] + padded[:, second]
 
-    def vec_solve(rhs: np.ndarray) -> np.ndarray:
-        # vec(X) of a stack is X^T flattened; the solution comes back the same way.
-        vec = np.linalg.solve(k, -rhs.swapaxes(-1, -2).reshape(count, n * n, 1))
-        return vec.reshape(count, n, n).swapaxes(-1, -2)
+    def sym_solve(rhs: np.ndarray) -> np.ndarray:
+        # Right-hand side: the upper triangle of the symmetric part of rhs.
+        upper = 0.5 * (rhs[:, rows, cols] + rhs[:, cols, rows])
+        return np.linalg.solve(system, -upper[..., None])[..., 0][:, unknown]
 
     try:
-        covs = vec_solve(diffusions)
+        covs = sym_solve(diffusions)
         # One step of iterative refinement buys margin on ill-conditioned systems.
-        covs = covs + vec_solve(drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions)
+        covs = covs + sym_solve(drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Lyapunov system is singular to working precision") from exc
-    covs = 0.5 * (covs + covs.swapaxes(-1, -2))
     return covs, residuals(drifts, diffusions, covs)
 
 

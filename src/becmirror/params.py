@@ -7,6 +7,10 @@ turns them into the reduced set entering the linearized dynamics, and
 :func:`steady_state_field` evaluates the classical mean fields for a chosen
 effective detuning.  :func:`self_consistent_detuning` solves the cavity
 backaction relation when only the bare detuning is known.
+
+The derivation arithmetic broadcasts: run on numbers it returns Python
+floats, run on arrays of inputs it returns arrays, and
+:meth:`ModelBatch.from_derived` assembles a whole sweep grid from it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -154,6 +157,9 @@ _PHYSICAL_FIELDS = tuple((f.name, f.default is MISSING) for f in fields(Physical
 class DerivedParams:
     """Quantities derived from :class:`PhysicalInput`.
 
+    Derived from a sweep grid (see :func:`derive_parameters`), the fields
+    that vary over it hold arrays.
+
     Attributes:
         om_p: Laser angular frequency (rad/s).
         kappa: Cavity amplitude decay rate (rad/s).
@@ -200,6 +206,26 @@ class CavitySteadyState:
     G_ac: float
 
 
+#: ModelParams fields bounded below by 0, and whether the bound is strict;
+#: the remaining field, ``detuning``, may take any finite value
+_MODEL_BOUNDS = (
+    ("om_m", True),
+    ("om_a", True),
+    ("kappa", True),
+    ("gamma", False),
+    ("G_mc", False),
+    ("G_ac", False),
+    ("n_th", False),
+    ("n_c", False),
+)
+
+
+def _within_bound(value, strict: bool):
+    """``value > 0``, or ``value >= 0`` if not ``strict``, for a number or an
+    array; NaN is within no bound."""
+    return value > 0 if strict else value >= 0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Reduced parameter set of the linearized three-mode dynamics."""
@@ -217,14 +243,11 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in _MODEL_FIELDS:
             finite_real(name, getattr(self, name))
-        for name in ("om_m", "om_a", "kappa"):
+        for name, strict in _MODEL_BOUNDS:
             value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be > 0, got {value!r}")
-        for name in ("gamma", "G_mc", "G_ac", "n_th", "n_c"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValidationError(f"{name} must be >= 0, got {value!r}")
+            if not _within_bound(value, strict):
+                bound = "> 0" if strict else ">= 0"
+                raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -241,7 +264,9 @@ class ModelBatch:
     Each attribute is a float array of shape (N,) holding that field of every
     model in order.  The layer functions that take a :class:`ModelParams`
     (:func:`~becmirror.dynamics.build_drift`, ...) broadcast over these
-    arrays, so a batch and a single model run the same arithmetic.
+    arrays, so a batch and a single model run the same arithmetic.  A batch
+    is not validated on construction; :meth:`valid` applies the rules of
+    :class:`ModelParams` point by point.
     """
 
     om_m: np.ndarray
@@ -255,35 +280,77 @@ class ModelBatch:
     n_c: np.ndarray
 
     @classmethod
-    def stack(cls, params: Sequence[ModelParams]) -> ModelBatch:
-        """Batch of already validated models."""
+    def from_derived(
+        cls, derived: DerivedParams, size: int, detuning: float | np.ndarray | None = None
+    ) -> ModelBatch:
+        """The models :func:`model_params` assembles, for ``size`` points.
+
+        Fields of ``derived`` and ``detuning`` may be numbers or (size,)
+        arrays.  Nothing is validated per point; see :meth:`valid`.
+
+        Raises
+        ------
+        ValidationError
+            If no effective detuning is available, or ``derived.kappa`` is
+            not positive at some point.
+        """
+        values = _model_fields(derived, detuning)
         return cls(**{
-            name: np.array([getattr(p, name) for p in params], dtype=float)
+            name: np.broadcast_to(np.asarray(values[name], dtype=float), (size,))
             for name in _MODEL_FIELDS
         })
 
+    def __getitem__(self, index) -> ModelBatch:
+        """The batch of the models at ``index``, a slice or an index array."""
+        return ModelBatch(**{name: getattr(self, name)[index] for name in _MODEL_FIELDS})
 
-def thermal_occupation(omega: float, temperature: float) -> float:
+    def valid(self) -> np.ndarray:
+        """Mask of the models that pass the rules of :class:`ModelParams`:
+        every field finite and each bounded field within its bound."""
+        mask = np.logical_and.reduce([np.isfinite(getattr(self, name)) for name in _MODEL_FIELDS])
+        for name, strict in _MODEL_BOUNDS:
+            mask &= _within_bound(getattr(self, name), strict)
+        return mask
+
+
+def _number_or_array(value):
+    """A scalar result as a Python float (tables print its ``repr``); None
+    and arrays as they are."""
+    if value is None or np.ndim(value) > 0:
+        return value
+    return float(value)
+
+
+def thermal_occupation(
+    omega: float | np.ndarray, temperature: float | np.ndarray
+) -> float | np.ndarray:
     """Bose-Einstein occupation of a mode at ``omega`` (rad/s) and T (K).
 
     Returns 0 at T = 0 (continuity limit) and underflows to 0 once
     hbar omega / (k_B T) exceeds ~745; rejects negative temperatures.
+    Broadcasts over arrays; numbers give a Python float.
     """
-    if temperature < 0:
+    if np.any(temperature < 0):
         raise ValidationError(f"temperature must be >= 0, got {temperature!r}")
-    if omega <= 0:
+    if np.any(omega <= 0):
         raise ValidationError(f"omega must be > 0, got {omega!r}")
-    if temperature == 0:
-        return 0.0
-    x = HBAR * omega / (BOLTZMANN_K * temperature)
+    omega = np.asarray(omega, dtype=float)
+    temperature = np.asarray(temperature, dtype=float)
+    with np.errstate(divide="ignore"):
+        # x = inf at T = 0, where the expression below gives exactly 0.
+        x = HBAR * omega / (BOLTZMANN_K * temperature)
     # 1 / (e^x - 1) written so that e^x cannot overflow at ultracold T.
-    return math.exp(-x) / -math.expm1(-x)
+    return _number_or_array(np.exp(-x) / -np.expm1(-x))
 
 
 def derive_parameters(inp: PhysicalInput) -> DerivedParams:
     """Reduce raw experimental inputs to the model parameter set.
 
     Deterministic and pure: identical inputs give bit-identical outputs.
+    ``inp`` may also be any object with the attributes of a
+    :class:`PhysicalInput` some of which hold arrays of valid values (a
+    sweep grid); the fields of the result are then arrays where they depend
+    on those.
     """
     om_p = 2.0 * math.pi * SPEED_OF_LIGHT / inp.laser_wavelength
     if inp.cavity_decay is not None:
@@ -291,16 +358,16 @@ def derive_parameters(inp: PhysicalInput) -> DerivedParams:
     else:
         # Fabry-Perot amplitude decay (half width): kappa = pi c / (2 F L).
         kappa = math.pi * SPEED_OF_LIGHT / (2.0 * inp.finesse * inp.cavity_length)
-    x_zpf = math.sqrt(HBAR / (2.0 * inp.mirror_mass * inp.mirror_frequency))
-    drive = math.sqrt(2.0 * inp.laser_power * kappa / (HBAR * om_p))
+    x_zpf = np.sqrt(HBAR / (2.0 * inp.mirror_mass * inp.mirror_frequency))
+    drive = np.sqrt(2.0 * inp.laser_power * kappa / (HBAR * om_p))
     g_mc = math.sqrt(2.0) * (om_p / inp.cavity_length) * x_zpf
     if inp.bec_coupling is not None:
         g_ac = inp.bec_coupling
     else:
-        g_ac = inp.lattice_depth * math.sqrt(inp.atom_number) / 2.0
+        g_ac = inp.lattice_depth * np.sqrt(inp.atom_number) / 2.0
     om_a = inp.bec_frequency if inp.bec_frequency is not None else 4.0 * inp.recoil_frequency
     n_th = thermal_occupation(inp.mirror_frequency, inp.temperature)
-    return DerivedParams(
+    values = dict(
         om_p=om_p,
         kappa=kappa,
         drive=drive,
@@ -314,6 +381,7 @@ def derive_parameters(inp: PhysicalInput) -> DerivedParams:
         detuning=inp.effective_detuning,
         bare_detuning=inp.bare_detuning,
     )
+    return DerivedParams(**{name: _number_or_array(v) for name, v in values.items()})
 
 
 def steady_state_field(derived: DerivedParams, detuning: float) -> CavitySteadyState:
@@ -321,23 +389,24 @@ def steady_state_field(derived: DerivedParams, detuning: float) -> CavitySteadyS
 
     The intracavity amplitude is E / (kappa + i detuning); the mirror and
     condensate means follow from their closed forms, and the effective
-    couplings are sqrt(2) g |field|.
+    couplings are sqrt(2) g |field|.  Broadcasts over array fields and
+    detunings.
     """
-    if derived.kappa <= 0:
+    if np.any(derived.kappa <= 0):
         raise ValidationError(f"kappa must be > 0, got {derived.kappa!r}")
     denom = derived.kappa + 1j * detuning
     field = derived.drive / denom
-    n = derived.drive**2 / (derived.kappa**2 + detuning**2)
+    n = derived.drive * derived.drive / (derived.kappa * derived.kappa + detuning * detuning)
     bec_amp = -(derived.g_ac / (math.sqrt(2.0) * derived.om_a)) * n
     mirror_amp = (1j * derived.g_mc / (math.sqrt(2.0) * (derived.gamma + 1j * derived.om_m))) * n
-    root_n = math.sqrt(n)
+    root_n = np.sqrt(n)
     return CavitySteadyState(
-        photon_number=n,
+        photon_number=_number_or_array(n),
         field_amplitude=field,
         bec_amplitude=bec_amp,
         mirror_amplitude=mirror_amp,
-        G_mc=math.sqrt(2.0) * derived.g_mc * root_n,
-        G_ac=math.sqrt(2.0) * derived.g_ac * root_n,
+        G_mc=_number_or_array(math.sqrt(2.0) * derived.g_mc * root_n),
+        G_ac=_number_or_array(math.sqrt(2.0) * derived.g_ac * root_n),
     )
 
 
@@ -346,6 +415,11 @@ def model_params(derived: DerivedParams, detuning: float | None = None) -> Model
 
     ``detuning`` defaults to the effective detuning carried on ``derived``.
     """
+    return ModelParams(**_model_fields(derived, detuning))
+
+
+def _model_fields(derived: DerivedParams, detuning: float | np.ndarray | None = None) -> dict:
+    """Field values of the model at ``detuning``, numbers or arrays."""
     if detuning is None:
         detuning = derived.detuning
     if detuning is None:
@@ -353,15 +427,16 @@ def model_params(derived: DerivedParams, detuning: float | None = None) -> Model
             "no effective detuning available; supply one or use self_consistent_detuning"
         )
     ss = steady_state_field(derived, detuning)
-    return ModelParams(
+    return dict(
         om_m=derived.om_m,
         om_a=derived.om_a,
         gamma=derived.gamma,
         kappa=derived.kappa,
-        detuning=detuning,
+        detuning=_number_or_array(detuning),
         G_mc=ss.G_mc,
         G_ac=ss.G_ac,
         n_th=derived.n_th,
+        n_c=0.0,
     )
 
 

@@ -70,7 +70,16 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _psd_root(matrix: np.ndarray, name: str) -> np.ndarray:
-    """R with R R^T = matrix for a symmetric positive semidefinite matrix."""
+    """R with R R^T = matrix for a symmetric positive semidefinite matrix.
+
+    Raises
+    ------
+    ValidationError
+        If the matrix has non-finite entries or is not positive
+        semidefinite.
+    """
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError(f"{name} contains non-finite entries")
     evals, evecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
     if np.min(evals) < -1e-10 * max(1.0, float(np.max(np.abs(evals)))):
         raise ValidationError(f"{name} is not positive semidefinite")
@@ -220,8 +229,9 @@ def simulate_trajectories(
     ValidationError
         If ``dt`` or ``horizon`` is not finite and positive,
         ``n_trajectories`` is below one, the run would store more than
-        :data:`MAX_SAMPLES` samples, or ``cov0`` or the diffusion matrix is
-        not positive semidefinite.
+        :data:`MAX_SAMPLES` samples, or the drift matrix, the diffusion
+        matrix or ``cov0`` has non-finite entries, or ``cov0`` or the
+        diffusion matrix is not positive semidefinite.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)

@@ -1,17 +1,20 @@
 """Parameter sweeps over the full steady-state entanglement pipeline.
 
 A sweep grid is defined by one or two axes over raw experimental inputs,
-bare couplings, or reduced model parameters.  The model of each grid point
-is assembled from the configuration, which is derived once when only
-coupling or model axes vary.  The grid is then evaluated in blocks of
-:data:`BLOCK_POINTS` points: each block goes through the stacked forms of the
-stability check (eigenvalue verdict authoritative), the Lyapunov solve and the
-entanglement measures, the same code the single-point functions run at N = 1.
-Unstable points are evaluations, not failures: their rows carry an explicit
-``unstable`` status and empty measure columns.  A point that fails carries
-the error in its own row and leaves its neighbours untouched.  Output is
-deterministic byte-for-byte, with a provenance header carrying a
-configuration hash and the pinned constants version.
+bare couplings, or reduced model parameters.  The models of all grid points
+are assembled at once as a :class:`~becmirror.params.ModelBatch`: the axis
+values enter the derivation as arrays (the configuration is derived once, as
+numbers, when only coupling or model axes vary), and a per-point mask applies
+the validation rules of the single-point constructors.  The valid points are
+then evaluated in blocks of :data:`BLOCK_POINTS`: each block goes through the
+stacked forms of the stability check (eigenvalue verdict authoritative), the
+symmetric Lyapunov solve and the entanglement measures, the same code the
+single-point functions run at N = 1.  Unstable points are evaluations, not
+failures: their rows carry an explicit ``unstable`` status and empty measure
+columns.  A point that fails carries the error in its own row and leaves its
+neighbours untouched.  Output is deterministic byte-for-byte, with a
+provenance header carrying a configuration hash and the pinned constants
+version.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import numbers
 from dataclasses import asdict, dataclass, replace
 from importlib import metadata
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,21 +39,14 @@ from .effective import effective_parameters
 from .entanglement import entanglement_results, reduce_to_modes
 from .errors import BecMirrorError, ValidationError
 from .lyapunov import RESIDUAL_TOL, steady_covariances
-from .params import (
-    DerivedParams,
-    ModelBatch,
-    ModelParams,
-    PhysicalInput,
-    derive_parameters,
-    finite_real,
-    model_params,
-)
+from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters, finite_real
 
 SCHEMA_VERSION = 1
 
 #: grid points evaluated together by the stacked layer calls; the block's
-#: (N, 36, 36) Lyapunov systems and their temporaries stay near 2 MB, while
-#: a whole-grid stack would raise the peak memory by tens of MB
+#: (N, 21, 21) Lyapunov systems, (N, 6, 6) stacks and their temporaries stay
+#: well under 1 MB, while a whole-grid stack would raise the peak memory by
+#: tens of MB
 BLOCK_POINTS = 64
 
 _BARE_COUPLING_AXES = ("g_mc", "g_ac")
@@ -168,38 +165,100 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _model_at(
-    base: PhysicalInput,
-    shared: DerivedParams | None,
-    names: tuple[str, ...],
-    values: tuple[float, ...],
-) -> ModelParams:
-    """Model of one grid point; ``shared`` is the base's derivation when no
-    physical axis varies."""
-    physical_overrides: dict[str, float] = {}
-    bare_overrides: dict[str, float] = {}
-    model_overrides: dict[str, float] = {}
-    for name, value in zip(names, values):
+def _error_status(make, *args, **kwargs) -> str | None:
+    """The error status of ``make(*args, **kwargs)``, None if it succeeds."""
+    try:
+        make(*args, **kwargs)
+    except BecMirrorError as exc:
+        return f"error:{type(exc).__name__}"
+    return None
+
+
+def _grid_models(
+    base: PhysicalInput, columns: dict[str, np.ndarray]
+) -> tuple[ModelBatch, list[str | None]]:
+    """Models of the points whose axis values are ``columns``, and each
+    point's error status, None for a valid model.
+
+    Each distinct value of a physical axis is validated once, as the base
+    configuration with that value.  Every :class:`PhysicalInput` rule is about
+    one field or about which fields are set, so a point is valid iff each of
+    its values is; an invalid value is derived as the base's value and its
+    points are masked.  Model axes replace fields after the derivation, and
+    :meth:`ModelBatch.valid` masks the points that break a
+    :class:`ModelParams` rule before or after that, as :func:`model_params`
+    and ``replace`` would reject them.  Entries of the batch at points with an
+    error are meaningless.
+
+    Raises
+    ------
+    BecMirrorError
+        If the assembly fails for the grid as a whole.
+    """
+    size = len(next(iter(columns.values())))
+    status: list[str | None] = [None] * size
+    physical: dict[str, np.ndarray] = {}
+    bare: dict[str, np.ndarray] = {}
+    model: dict[str, np.ndarray] = {}
+    for name, column in columns.items():
         if name in _BARE_COUPLING_AXES:
-            bare_overrides[name] = value
+            bare[name] = column
         elif name in _MODEL_FIELDS:
-            model_overrides[name] = value
+            model[name] = column
         else:
-            physical_overrides[name] = value
-    if shared is not None:
-        derived = shared
-    else:
-        derived = derive_parameters(replace(base, **physical_overrides))
-    if bare_overrides:
-        derived = replace(derived, **bare_overrides)
-    detuning = model_overrides.pop("detuning", None)
-    params = model_params(derived, detuning)
-    if model_overrides:
-        params = replace(params, **model_overrides)
-    return params
+            values, inverse = np.unique(column, return_inverse=True)
+            errors = [_error_status(replace, base, **{name: v}) for v in values.tolist()]
+            status = [s or errors[k] for s, k in zip(status, inverse.tolist())]
+            # A field the base leaves unset takes no valid value, so every
+            # value of such an axis is invalid and the field stays unset.
+            valid = np.array([error is None for error in errors])[inverse]
+            if valid.any():
+                physical[name] = np.where(valid, column, getattr(base, name))
+    inp = base
+    if physical:
+        inp = SimpleNamespace(**{
+            **{name: getattr(base, name) for name in PhysicalInput.field_names()}, **physical
+        })
+    # Overflow at a point yields inf or NaN there, which the mask rejects.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        derived = derive_parameters(inp)
+        if bare:
+            derived = replace(derived, **bare)
+        batch = ModelBatch.from_derived(derived, size, model.pop("detuning", None))
+        valid = batch.valid()
+        if model:
+            batch = replace(batch, **model)
+            valid &= batch.valid()
+    invalid = f"error:{ValidationError.__name__}"
+    return batch, [s or (None if ok else invalid) for s, ok in zip(status, valid.tolist())]
 
 
-def _evaluate(params: list[ModelParams], cells: list[dict], include_effective: bool) -> None:
+def _grid_models_or_split(
+    base: PhysicalInput, columns: dict[str, np.ndarray]
+) -> tuple[ModelBatch, list[str | None]]:
+    """:func:`_grid_models`, falling back to halves of the grid when the
+    assembly fails as a whole, so that only the failing points carry the
+    error."""
+    try:
+        return _grid_models(base, columns)
+    except BecMirrorError as exc:
+        size = len(next(iter(columns.values())))
+        if size == 1:
+            failed = np.full(1, np.nan)
+            return ModelBatch(**dict.fromkeys(_MODEL_FIELDS, failed)), [
+                f"error:{type(exc).__name__}"
+            ]
+        parts = [
+            _grid_models_or_split(base, {name: c[part] for name, c in columns.items()})
+            for part in (slice(None, size // 2), slice(size // 2, None))
+        ]
+    batch = ModelBatch(**{
+        name: np.concatenate([getattr(b, name) for b, _ in parts]) for name in _MODEL_FIELDS
+    })
+    return batch, parts[0][1] + parts[1][1]
+
+
+def _evaluate(batch: ModelBatch, cells: list[dict], include_effective: bool) -> None:
     """Fill the row cells of a block of models through the stacked layer calls.
 
     Raises
@@ -207,7 +266,6 @@ def _evaluate(params: list[ModelParams], cells: list[dict], include_effective: b
     BecMirrorError
         When a stacked call fails for the block as a whole.
     """
-    batch = ModelBatch.stack(params)
     drifts = build_drift(batch)
     _, abscissa, _, stable = eigen_stability(drifts)
     criterion, passes = check_stability_criterion(batch)
@@ -217,11 +275,12 @@ def _evaluate(params: list[ModelParams], cells: list[dict], include_effective: b
         row.update(status="ok" if is_stable else "unstable", eigen_stable=is_stable,
                    spectral_abscissa=a, criterion_value=value, criterion_pass=ok)
     if include_effective:
-        for row, p in zip(cells, params):
-            if p.detuning > 0:
-                eff = effective_parameters(
-                    p.G_mc, p.G_ac, p.detuning, p.kappa, om_m=p.om_m, om_a=p.om_a
-                )
+        for row, G_mc, G_ac, detuning, kappa, om_m, om_a in zip(
+            cells, batch.G_mc.tolist(), batch.G_ac.tolist(), batch.detuning.tolist(),
+            batch.kappa.tolist(), batch.om_m.tolist(), batch.om_a.tolist(),
+        ):
+            if detuning > 0:
+                eff = effective_parameters(G_mc, G_ac, detuning, kappa, om_m=om_m, om_a=om_a)
                 row.update(freq_shift_mirror=eff.freq_shift_mirror,
                            freq_shift_bec=eff.freq_shift_bec,
                            coupling_ma=eff.coupling_ma, adiabatic=eff.adiabatic)
@@ -246,55 +305,45 @@ def _evaluate(params: list[ModelParams], cells: list[dict], include_effective: b
                    det_cov=result.det_cov)
 
 
-def _evaluate_or_split(
-    params: list[ModelParams], cells: list[dict], include_effective: bool
-) -> None:
+def _evaluate_or_split(batch: ModelBatch, cells: list[dict], include_effective: bool) -> None:
     """:func:`_evaluate`, falling back to one point at a time when the block
     fails, so that only the failing point carries the error."""
     try:
-        _evaluate(params, cells, include_effective)
+        _evaluate(batch, cells, include_effective)
     except BecMirrorError as exc:
-        if len(params) == 1:
+        if len(cells) == 1:
             cells[0]["status"] = f"error:{type(exc).__name__}"
             return
-        for p, row in zip(params, cells):
-            _evaluate_or_split([p], [row], include_effective)
+        for i, row in enumerate(cells):
+            _evaluate_or_split(batch[i : i + 1], [row], include_effective)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in row-major order.
 
-    Points are evaluated in blocks of :data:`BLOCK_POINTS` through the same
-    stacked code whatever the grid size, so a point's row does not depend on
-    the block it falls in, and the output is deterministic.
+    The models of the whole grid are assembled at once; the valid points are
+    evaluated in blocks of :data:`BLOCK_POINTS` through the same stacked code
+    whatever the grid size, so a point's row does not depend on the block it
+    falls in, and the output is deterministic.
     """
     axis_names = tuple(axis.name for axis in spec.axes)
-    grids = [axis.values() for axis in spec.axes]
-    if len(grids) == 1:
-        points = [(float(v),) for v in grids[0]]
-    else:
-        points = [(float(a), float(b)) for a in grids[0] for b in grids[1]]
-    physical_fields = set(PhysicalInput.field_names())
-    shared = None
-    if not physical_fields.intersection(axis_names):
-        shared = derive_parameters(spec.base)
+    columns = [
+        column.ravel()
+        for column in np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    ]
+    points = list(zip(*(column.tolist() for column in columns)))
+    batch, status = _grid_models_or_split(spec.base, dict(zip(axis_names, columns)))
 
-    columns = _MEASURE_COLUMNS + (_EFFECTIVE_COLUMNS if spec.include_effective else ())
-    rows: list[SweepRow] = []
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = points[start : start + BLOCK_POINTS]
-        cells = [dict.fromkeys(columns) for _ in block]
-        params, evaluated = [], []
-        for values, row in zip(block, cells):
-            try:
-                params.append(_model_at(spec.base, shared, axis_names, values))
-            except BecMirrorError as exc:
-                row["status"] = f"error:{type(exc).__name__}"
-                continue
-            evaluated.append(row)
-        if params:
-            _evaluate_or_split(params, evaluated, spec.include_effective)
-        rows.extend(SweepRow(axis_values=v, cells=c) for v, c in zip(block, cells))
+    names = _MEASURE_COLUMNS + (_EFFECTIVE_COLUMNS if spec.include_effective else ())
+    cells = [dict.fromkeys(names) for _ in points]
+    for row, error in zip(cells, status):
+        row["status"] = error
+    valid = np.array([error is None for error in status], dtype=bool)
+    index = np.flatnonzero(valid)
+    for start in range(0, index.size, BLOCK_POINTS):
+        block = index[start : start + BLOCK_POINTS]
+        _evaluate_or_split(batch[block], [cells[i] for i in block.tolist()],
+                           spec.include_effective)
 
     provenance = {
         "schema_version": SCHEMA_VERSION,
@@ -302,9 +351,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "constants_version": constants.CONSTANTS_VERSION,
         "package_version": _package_version(),
     }
-    return SweepResult(
-        axis_names=axis_names, columns=columns, rows=tuple(rows), provenance=provenance
-    )
+    rows = tuple(SweepRow(axis_values=v, cells=c) for v, c in zip(points, cells))
+    return SweepResult(axis_names=axis_names, columns=names, rows=rows, provenance=provenance)
 
 
 def _format_cell(value) -> str:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import becmirror
 from becmirror.cli import load_config, main
 
 TWO_PI = 2.0 * math.pi
@@ -272,3 +277,22 @@ class TestStochasticCommands:
         assert len(dumps) == 3
         header = dumps[0].read_text().splitlines()[0]
         assert header == "t,q_m,p_m,q_a,p_a,q_c,p_c"
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy.linalg would add about a third of a second to every start of
+        # the program; the package needs numpy only.
+        source = str(Path(becmirror.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, becmirror, becmirror.cli; "
+            "print(becmirror.__file__); print('scipy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        ).stdout.split()
+        assert Path(out[0]).resolve() == Path(becmirror.__file__).resolve()
+        assert out[1] == "False"

@@ -245,7 +245,10 @@ class TestBatch:
             mild_model(detuning=-0.5, n_th=3.0, n_c=0.1),
             mild_model(G_mc=0.0, G_ac=0.0),
         ]
-        batch = ModelBatch.stack(models)
+        batch = ModelBatch(**{
+            name: np.array([getattr(p, name) for p in models])
+            for name in ModelParams.field_names()
+        })
         drifts, diffusions = build_drift(batch), build_diffusion(batch)
         criterion, passes = check_stability_criterion(batch)
         eigenvalues, abscissa, marginal, stable = eigen_stability(drifts)
@@ -260,6 +263,32 @@ class TestBatch:
             assert (stable[i], marginal[i]) == (report.is_stable, report.is_marginal)
         assert stable.tolist() == [True, False, False, False]
         assert marginal.tolist() == [False, False, False, True]
+
+
+    def test_valid_mask_applies_the_model_rules(self):
+        # Each field at a bad or borderline value, one point each; the mask
+        # must reject exactly the points the ModelParams constructor rejects.
+        base = {name: getattr(mild_model(), name) for name in ModelParams.field_names()}
+        changes = [(name, value) for name in ModelParams.field_names()
+                   for value in (-1.0, 0.0, -0.0, math.nan, math.inf, 1e-300)]
+        cases = [base] + [{**base, name: value} for name, value in changes]
+        batch = ModelBatch(**{
+            name: np.array([case[name] for case in cases])
+            for name in ModelParams.field_names()
+        })
+        expected = []
+        for case in cases:
+            try:
+                ModelParams(**case)
+            except ValidationError:
+                expected.append(False)
+            else:
+                expected.append(True)
+        assert batch.valid().tolist() == expected
+        verdict = dict(zip(changes, expected[1:]))
+        refused_at_zero = {name for name in ModelParams.field_names() if not verdict[name, 0.0]}
+        assert expected[0] and refused_at_zero == {"om_m", "om_a", "kappa"}
+        assert verdict["detuning", -1.0] and not verdict["gamma", -1.0]
 
 
 class TestOrderingConstants:

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becmirror import (
     NumericalError,
@@ -48,11 +50,48 @@ class TestStackedSolver:
             reference = scipy.linalg.solve_continuous_lyapunov(drift, -diffusion)
             np.testing.assert_allclose(covs[i], reference, rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_single_point_calls_and_scipy(self, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        systems = [random_stable_system(rng, dim) for _ in range(count)]
+        drifts = np.stack([drift for drift, _ in systems])
+        diffusions = np.stack([diffusion for _, diffusion in systems])
+        covs, rel = steady_covariances(drifts, diffusions)
+        for i, (drift, diffusion) in enumerate(systems):
+            single, single_rel = steady_covariances(drift[None], diffusion[None])
+            np.testing.assert_array_equal(covs[i], single[0])
+            assert rel[i] == single_rel[0]
+            np.testing.assert_array_equal(covs[i], covs[i].T)
+            reference = scipy.linalg.solve_continuous_lyapunov(drift, -diffusion)
+            gap = np.linalg.norm(covs[i] - reference) / np.linalg.norm(reference)
+            assert gap <= 1e-9
+
     def test_singular_member_fails_the_whole_stack(self):
-        # M = 0 makes I (x) M + M (x) I vanish.
+        # M = 0 makes the Lyapunov operator vanish.
         drifts = np.stack([-np.eye(6), np.zeros((6, 6))])
         with pytest.raises(NumericalError, match="singular"):
             steady_covariances(drifts, np.stack([np.eye(6), np.eye(6)]))
+
+    def test_member_with_opposite_eigenvalue_pair_is_refused(self):
+        # The rotation block has eigenvalues +-i: lambda_i + lambda_j = 0 for
+        # i != j makes the operator singular although M itself is not.
+        rotation = np.zeros((6, 6))
+        rotation[:4, :4] = -np.eye(4)
+        rotation[4:, 4:] = [[0.0, 1.0], [-1.0, 0.0]]
+        drift, diffusion = random_stable_system(np.random.default_rng(8))
+        drifts = np.stack([drift, rotation])
+        diffusions = np.stack([diffusion, np.eye(6)])
+        try:
+            covs, rel = steady_covariances(drifts, diffusions)
+        except NumericalError:
+            return
+        assert not rel[1] <= RESIDUAL_TOL
+        assert rel[0] <= RESIDUAL_TOL
 
 
 class TestSolver:

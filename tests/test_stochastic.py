@@ -189,6 +189,18 @@ class TestSimulateTrajectoriesExact:
         with pytest.raises(error):
             simulate_trajectories(drift, damped_diffusion(0.0), cov0, **args)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("argument", ["drift", "diffusion", "cov0"])
+    def test_rejects_non_finite_matrices(self, argument, value):
+        matrices = dict(drift=DAMPED_DRIFT.copy(), diffusion=damped_diffusion(0.5),
+                        cov0=np.eye(2))
+        matrices[argument][0, 0] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate_trajectories(
+                matrices["drift"], matrices["diffusion"], matrices["cov0"],
+                dt=0.1, horizon=1.0, seed=0, n_trajectories=1,
+            )
+
     def test_rejects_indefinite_diffusion(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
             simulate_trajectories(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from becmirror import (
     AxisSpec,
+    ModelParams,
     SweepSpec,
     ValidationError,
     build_diffusion,
@@ -24,7 +25,7 @@ from becmirror import (
 )
 from becmirror.cli import _parse_axis
 from becmirror.errors import BecMirrorError
-from becmirror.sweep import BLOCK_POINTS
+from becmirror.sweep import BLOCK_POINTS, _grid_models
 
 from support import TWO_PI, reference_input
 
@@ -61,6 +62,12 @@ def single_point_row(spec: SweepSpec, values: tuple[float, ...]):
         for axis, value in zip(spec.axes, values)
     )
     return run_sweep(replace(spec, axes=axes)).rows[0]
+
+
+def assert_rows_match_single_point_sweeps(spec: SweepSpec, result) -> None:
+    """Every row, byte for byte, equals the sweep of its point alone."""
+    for row in result.rows:
+        assert repr(single_point_row(spec, row.axis_values)) == repr(row)
 
 
 class TestAxisSpec:
@@ -189,12 +196,13 @@ class TestRunSweep:
         base = reference_input(effective_detuning=None, bare_detuning=TWO_PI * 2e6)
         spec = SweepSpec(
             base=base,
-            axes=(AxisSpec(name="temperature", start=1e-6, stop=1e-5, points=2),),
+            axes=(AxisSpec(name="temperature", start=-1e-6, stop=1e-5, points=3),),
         )
         result = run_sweep(spec)
         assert all(
             row.cells["status"] == "error:ValidationError" for row in result.rows
         )
+        assert_rows_match_single_point_sweeps(spec, result)
 
     def test_point_evaluation_is_order_independent(self):
         spec = small_spec()
@@ -239,6 +247,23 @@ class TestRunSweep:
         assert list(result.rows) == singles
         assert all(row.cells["eigen_stable"] for row in result.rows)
 
+    def test_overflowed_point_fails_alone_in_the_grid_assembly(self):
+        # 2 F overflows at finesse 1e308, so kappa derives to 0 there and the
+        # mean-field step refuses the assembly of the whole grid; the points
+        # at finesse 1e4 must keep their rows.
+        spec = SweepSpec(
+            base=reference_input(),
+            axes=(
+                AxisSpec(name="finesse", start=1e4, stop=1e308, points=2),
+                AxisSpec(name="cavity_length", start=1e-3, stop=10.0, points=2),
+            ),
+        )
+        result = run_sweep(spec)
+        statuses = [row.cells["status"] for row in result.rows]
+        assert statuses[2:] == ["error:ValidationError"] * 2
+        assert not any(status.startswith("error") for status in statuses[:2])
+        assert_rows_match_single_point_sweeps(spec, result)
+
     def test_larger_symplectic_eigenvalue_diagnostic(self):
         # nu_plus is emitted per row so its claimed separation from the 1/2
         # threshold can be checked over grids rather than assumed.
@@ -258,6 +283,101 @@ class TestRunSweep:
         assert "coupling_ma" in result.columns
         ok_rows = [r for r in result.rows if r.cells["status"] == "ok"]
         assert ok_rows and all(r.cells["coupling_ma"] < 0 for r in ok_rows)
+
+
+class TestGridAssembly:
+    """The whole-grid model batch against the single-point derivation."""
+
+    SPECS = {
+        "temperature_finesse": (
+            AxisSpec(name="temperature", start=-1e-5, stop=2e-5, points=4),
+            AxisSpec(name="finesse", start=-1e4, stop=2e4, points=4),
+        ),
+        "ultracold_cavity_length": (
+            AxisSpec(name="temperature", start=1e-9, stop=1e-3, points=7, scale="log"),
+            AxisSpec(name="cavity_length", start=-1e-3, stop=2e-3, points=4),
+        ),
+        "temperature_gamma": (
+            AxisSpec(name="temperature", start=0.0, stop=1e-4, points=3),
+            AxisSpec(name="gamma", start=-TWO_PI * 100.0, stop=TWO_PI * 100.0, points=3),
+        ),
+        "effective_detuning_g_ac": (
+            AxisSpec(name="effective_detuning", start=-TWO_PI * 2e6, stop=TWO_PI * 4e6,
+                     points=4),
+            AxisSpec(name="g_ac", start=-50.0, stop=100.0, points=4),
+        ),
+    }
+
+    @staticmethod
+    def scalar_model(spec: SweepSpec, values: tuple[float, ...]) -> ModelParams:
+        physical, bare, model = {}, {}, {}
+        for axis, value in zip(spec.axes, values):
+            if axis.name in ("g_mc", "g_ac"):
+                bare[axis.name] = value
+            elif axis.name in ModelParams.field_names():
+                model[axis.name] = value
+            else:
+                physical[axis.name] = value
+        derived = replace(derive_parameters(replace(spec.base, **physical)), **bare)
+        return replace(model_params(derived, model.pop("detuning", None)), **model)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_rows_match_single_point_sweeps(self, name):
+        spec = SweepSpec(base=reference_input(), axes=self.SPECS[name],
+                         include_effective=True)
+        result = run_sweep(spec)
+        statuses = {row.cells["status"] for row in result.rows}
+        assert "error:ValidationError" in statuses
+        assert statuses & {"ok", "unstable"}
+        assert_rows_match_single_point_sweeps(spec, result)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_batch_equals_scalar_derivation(self, name):
+        # Invalid axis values are masked, not allowed to fail the assembly
+        # of the whole grid.
+        spec = SweepSpec(base=reference_input(), axes=self.SPECS[name])
+        grids = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+        columns = {axis.name: grid.ravel() for axis, grid in zip(spec.axes, grids)}
+        batch, status = _grid_models(spec.base, columns)
+        points = list(zip(*(column.tolist() for column in columns.values())))
+        for i, values in enumerate(points):
+            try:
+                expected = self.scalar_model(spec, values)
+            except BecMirrorError as exc:
+                assert status[i] == f"error:{type(exc).__name__}"
+                continue
+            assert status[i] is None
+            for field in ModelParams.field_names():
+                got, want = getattr(batch, field)[i], getattr(expected, field)
+                if field == "n_th":
+                    assert abs(got - want) <= np.spacing(want)
+                else:
+                    assert got == want, field
+        assert 0 < status.count(None) < len(status)
+
+    def test_zero_and_ultracold_temperatures_give_no_thermal_occupation(self):
+        spec = SweepSpec(
+            base=reference_input(),
+            axes=(AxisSpec(name="temperature", start=0.0, stop=1e-9, points=2),),
+        )
+        columns = {"temperature": spec.axes[0].values()}
+        batch, status = _grid_models(spec.base, columns)
+        assert status == [None, None]
+        assert batch.n_th.tolist() == [0.0, 0.0]
+
+    def test_model_axes_do_not_hide_an_invalid_derivation(self):
+        # The drive overflows at this power, so the derived G_mc and G_ac are
+        # infinite: model_params refuses every point before the model axes
+        # would replace both couplings with valid values.
+        spec = SweepSpec(
+            base=reference_input(laser_power=1e308),
+            axes=(
+                AxisSpec(name="G_mc", start=1e5, stop=2e5, points=2),
+                AxisSpec(name="G_ac", start=1e5, stop=2e5, points=2),
+            ),
+        )
+        result = run_sweep(spec)
+        assert [row.cells["status"] for row in result.rows] == ["error:ValidationError"] * 4
 
 
 class TestEmit:
