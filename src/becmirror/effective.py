@@ -9,6 +9,7 @@ pipeline (no effective dissipation is available for a reduced model).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -57,6 +58,12 @@ def effective_parameters(
     flag compares ``om_m`` and ``om_a`` when both are given (the closed forms
     assume the two modes degenerate, but off-resonant inputs are evaluated
     anyway and merely flagged).
+
+    Raises
+    ------
+    ValidationError
+        If an input is out of range, or a closed form overflows (or its
+        denominator underflows to zero) in float arithmetic.
     """
     if detuning <= 0:
         raise ValidationError(
@@ -66,14 +73,25 @@ def effective_parameters(
         raise ValidationError(f"kappa must be > 0, got {kappa!r}")
     if G_mc < 0 or G_ac < 0:
         raise ValidationError("effective couplings must be >= 0")
-    lorentz = detuning / (kappa**2 + detuning**2)
-    coupling = -8.0 * G_mc * G_ac * lorentz
+    try:
+        lorentz = detuning / (kappa**2 + detuning**2)
+        shift_mirror = 4.0 * G_mc**2 * lorentz
+        shift_bec = 4.0 * G_ac**2 * lorentz
+        coupling = -8.0 * G_mc * G_ac * lorentz
+        # Python float products overflow to inf silently; powers raise.
+        if not all(map(math.isfinite, (shift_mirror, shift_bec, coupling))):
+            raise OverflowError("result out of range")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            f"effective closed forms out of float range at G_mc={G_mc!r}, "
+            f"G_ac={G_ac!r}, detuning={detuning!r}, kappa={kappa!r}"
+        ) from exc
     resonant: bool | None = None
     if om_m is not None and om_a is not None:
         resonant = bool(abs(om_m - om_a) <= 1e-9 * max(abs(om_m), abs(om_a)))
     return EffectiveModel(
-        freq_shift_mirror=4.0 * G_mc**2 * lorentz,
-        freq_shift_bec=4.0 * G_ac**2 * lorentz,
+        freq_shift_mirror=shift_mirror,
+        freq_shift_bec=shift_bec,
         coupling_ma=coupling,
         beam_splitter_coeff=coupling / 2.0,
         down_conversion_coeff=coupling / 2.0,

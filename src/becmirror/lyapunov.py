@@ -5,7 +5,14 @@ solves M V + V M^T = -D.  The operator V -> M V + V M^T maps symmetric
 matrices to symmetric ones, so at the fixed system sizes used here the
 equation is solved exactly as a dense linear system in the n(n+1)/2 entries
 of the upper triangle of V (21 unknowns for n = 6), one equation per entry of
-the upper triangle.  :func:`integrate_covariance` advances
+the upper triangle.  The operator depends on M alone, so it is inverted once
+per distinct drift and applied to the diffusions of every point that shares
+that drift (a temperature sweep changes D only).  An explicit inverse is used
+rather than an LU factorization solved for several right-hand sides: LAPACK's
+multi-right-hand-side solve does not give the bits of the same solve with one
+right-hand side, while an inverse and a stacked matrix-vector product do, so
+a point's covariance does not depend on which points share its drift.
+:func:`integrate_covariance` advances
 dV/dt = M V + V M^T + D with a classical fourth-order Runge-Kutta scheme and
 serves as an independent cross-check of the algebraic solution.
 """
@@ -101,27 +108,42 @@ def _symmetric_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 
 def steady_covariances(
-    drifts: np.ndarray, diffusions: np.ndarray
+    drifts: np.ndarray, diffusions: np.ndarray, group: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve M V + V M^T = -D for each pair of an (N, n, n) stack.
+    """Solve M V + V M^T = -D for N points that share K distinct drifts.
 
     The stacked core of :func:`solve_steady_covariance`, without its
     stability check and residual gate: it returns the covariances and their
     relative residuals, and the caller decides what a residual above
-    ``RESIDUAL_TOL`` means for that point.  Each point is one (m, m) linear
-    system in the m = n(n+1)/2 upper-triangle entries of V, whose
-    coefficients are gathered from M (see :func:`_symmetric_tables`), with
-    the symmetric part of D on the right-hand side, followed by one step of
-    iterative refinement.  V is filled from those entries, so it is
-    symmetric exactly.
+    ``RESIDUAL_TOL`` means for that point.
+
+    Parameters
+    ----------
+    drifts : numpy.ndarray
+        (K, n, n) stack of distinct drift matrices.
+    diffusions : numpy.ndarray
+        (N, n, n) stack of noise matrices, one per point.
+    group : numpy.ndarray, optional
+        (N,) index into ``drifts`` of each point's drift; by default point i
+        has drift i (K = N).
+
+    Each drift gives one (m, m) linear system in the m = n(n+1)/2
+    upper-triangle entries of V, whose coefficients are gathered from M (see
+    :func:`_symmetric_tables`).  The K systems are inverted once each, and
+    each point applies its drift's inverse to the upper triangle of the
+    symmetric part of its D, then once more for one step of iterative
+    refinement.  An inverse, unlike a factorization solved for many
+    right-hand sides, gives the same bits stacked or alone, so a point's
+    result does not depend on the other points of the call.  V is filled
+    from its triangle, so it is symmetric exactly.
 
     Raises
     ------
     ValidationError
         If any input contains non-finite entries.
     NumericalError
-        If the system of any point is singular to working precision; the
-        whole stack fails, so callers that need per-point verdicts solve
+        If the system of any drift is singular to working precision; the
+        whole call fails, so callers that need per-point verdicts solve
         again one point at a time.
     """
     _finite(drifts, "drift")
@@ -130,19 +152,22 @@ def steady_covariances(
     rows, cols, first, second, unknown = _symmetric_tables(n)
     padded = np.zeros((count, n * n + 1))
     padded[:, : n * n] = drifts.reshape(count, n * n)
-    system = padded[:, first] + padded[:, second]
+    try:
+        inverses = np.linalg.inv(padded[:, first] + padded[:, second])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Lyapunov system is singular to working precision") from exc
+    if group is not None:
+        drifts = drifts[group]
+        inverses = inverses[group]
 
     def sym_solve(rhs: np.ndarray) -> np.ndarray:
         # Right-hand side: the upper triangle of the symmetric part of rhs.
         upper = 0.5 * (rhs[:, rows, cols] + rhs[:, cols, rows])
-        return np.linalg.solve(system, -upper[..., None])[..., 0][:, unknown]
+        return (inverses @ -upper[..., None])[..., 0][:, unknown]
 
-    try:
-        covs = sym_solve(diffusions)
-        # One step of iterative refinement buys margin on ill-conditioned systems.
-        covs = covs + sym_solve(drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Lyapunov system is singular to working precision") from exc
+    covs = sym_solve(diffusions)
+    # One step of iterative refinement buys margin on ill-conditioned systems.
+    covs = covs + sym_solve(drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions)
     return covs, residuals(drifts, diffusions, covs)
 
 

@@ -5,11 +5,17 @@ bare couplings, or reduced model parameters.  The models of all grid points
 are assembled at once as a :class:`~becmirror.params.ModelBatch`: the axis
 values enter the derivation as arrays (the configuration is derived once, as
 numbers, when only coupling or model axes vary), and a per-point mask applies
-the validation rules of the single-point constructors.  The valid points are
-then evaluated in blocks of :data:`BLOCK_POINTS`: each block goes through the
-stacked forms of the stability check (eigenvalue verdict authoritative), the
-symmetric Lyapunov solve and the entanglement measures, the same code the
-single-point functions run at N = 1.  Unstable points are evaluations, not
+the validation rules of the single-point constructors.  Each valid point is
+then given the id of its drift: points whose drift-matrix parameters agree bit
+for bit share one (a temperature axis changes the diffusion only).  The valid
+points are evaluated in blocks of :data:`BLOCK_POINTS`, taken in drift-id
+order: each block runs the drift-only work (the drift, the stability check
+with its authoritative eigenvalue verdict, the product criterion and the
+effective parameters) once per distinct drift and copies it to the drift's
+points, and runs the diffusion-dependent work (the symmetric Lyapunov solve,
+with one operator inverse per distinct stable drift, and the entanglement
+measures) per point, through the same stacked code the single-point
+functions run at N = 1.  Unstable points are evaluations, not
 failures: their rows carry an explicit ``unstable`` status and empty measure
 columns.  A point that fails carries the error in its own row and leaves its
 neighbours untouched.  Output is deterministic byte-for-byte, with a
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 from importlib import metadata
@@ -43,11 +50,21 @@ from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters, f
 
 SCHEMA_VERSION = 1
 
-#: grid points evaluated together by the stacked layer calls; the block's
-#: (N, 21, 21) Lyapunov systems, (N, 6, 6) stacks and their temporaries stay
+#: grid points evaluated together by the stacked layer calls; a block takes
+#: them in drift-id order, so its distinct drifts are a contiguous id range
+#: and points sharing a drift mostly share a block.  The block's per-point
+#: (N, 21, 21) Lyapunov inverses, (N, 6, 6) stacks and their temporaries stay
 #: well under 1 MB, while a whole-grid stack would raise the peak memory by
 #: tens of MB
 BLOCK_POINTS = 64
+
+#: the :class:`ModelBatch` fields :func:`build_drift` reads; the product
+#: criterion and the effective parameters read a subset of them
+_DRIFT_FIELDS = ("om_m", "om_a", "gamma", "kappa", "detuning", "G_mc", "G_ac")
+
+#: overflow at a point yields inf or NaN there, which a mask, a finiteness
+#: check or the residual gate turns into that point's row
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 _BARE_COUPLING_AXES = ("g_mc", "g_ac")
 _MODEL_FIELDS = frozenset(ModelParams.field_names())
@@ -81,8 +98,8 @@ class AxisSpec:
     ``name`` must be a :class:`PhysicalInput` field, a bare coupling override
     (``g_mc`` or ``g_ac``), or a :class:`ModelParams` field (applied after
     derivation).  ``scale`` is ``linear`` or ``log``.  ``start`` and
-    ``stop`` must be finite real numbers and ``points`` an integer; they are
-    stored as ``float`` and ``int``.
+    ``stop`` must be finite real numbers whose difference is finite, and
+    ``points`` an integer; they are stored as ``float`` and ``int``.
     """
 
     name: str
@@ -103,6 +120,10 @@ class AxisSpec:
             )
         object.__setattr__(self, "start", float(finite_real("axis start", self.start)))
         object.__setattr__(self, "stop", float(finite_real("axis stop", self.stop)))
+        if not math.isfinite(self.stop - self.start):
+            raise ValidationError(
+                f"axis span {self.start!r} to {self.stop!r} overflows a float"
+            )
         if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
             raise ValidationError(f"axis points must be an integer, got {self.points!r}")
         object.__setattr__(self, "points", int(self.points))
@@ -219,8 +240,7 @@ def _grid_models(
         inp = SimpleNamespace(**{
             **{name: getattr(base, name) for name in PhysicalInput.field_names()}, **physical
         })
-    # Overflow at a point yields inf or NaN there, which the mask rejects.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         derived = derive_parameters(inp)
         if bare:
             derived = replace(derived, **bare)
@@ -258,36 +278,70 @@ def _grid_models_or_split(
     return batch, parts[0][1] + parts[1][1]
 
 
-def _evaluate(batch: ModelBatch, cells: list[dict], include_effective: bool) -> None:
+def _drift_ids(batch: ModelBatch) -> np.ndarray:
+    """Each model's drift id, numbered in order of first occurrence.
+
+    Models share an id iff their drift fields agree bit for bit: the key is
+    the bytes of the fields, so no tolerance merges nearby drifts and -0.0
+    and 0.0 stay apart.
+    """
+    fields = np.stack([getattr(batch, name) for name in _DRIFT_FIELDS], axis=1)
+    keys = fields.view(np.dtype((np.void, fields.itemsize * len(_DRIFT_FIELDS))))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def _evaluate(batch: ModelBatch, group: np.ndarray, cells: list[dict],
+              include_effective: bool) -> None:
     """Fill the row cells of a block of models through the stacked layer calls.
+
+    ``group`` holds each model's drift index within the block, nondecreasing
+    from 0 with no gaps; models with one index must have bitwise-equal drift
+    fields.  The drift-only work runs once per index, on its first model.
 
     Raises
     ------
     BecMirrorError
         When a stacked call fails for the block as a whole.
     """
-    drifts = build_drift(batch)
+    first = np.searchsorted(group, np.arange(group[-1] + 1))
+    shared = batch[first]
+    drifts = build_drift(shared)
     _, abscissa, _, stable = eigen_stability(drifts)
-    criterion, passes = check_stability_criterion(batch)
+    criterion, passes = check_stability_criterion(shared)
+    point_stable = stable[group]
     for row, is_stable, a, value, ok in zip(
-        cells, stable.tolist(), abscissa.tolist(), criterion.tolist(), passes.tolist()
+        cells, point_stable.tolist(), abscissa[group].tolist(), criterion[group].tolist(),
+        passes[group].tolist(),
     ):
         row.update(status="ok" if is_stable else "unstable", eigen_stable=is_stable,
                    spectral_abscissa=a, criterion_value=value, criterion_pass=ok)
     if include_effective:
-        for row, G_mc, G_ac, detuning, kappa, om_m, om_a in zip(
-            cells, batch.G_mc.tolist(), batch.G_ac.tolist(), batch.detuning.tolist(),
-            batch.kappa.tolist(), batch.om_m.tolist(), batch.om_a.tolist(),
-        ):
-            if detuning > 0:
-                eff = effective_parameters(G_mc, G_ac, detuning, kappa, om_m=om_m, om_a=om_a)
+        effective = [
+            effective_parameters(G_mc, G_ac, detuning, kappa, om_m=om_m, om_a=om_a)
+            if detuning > 0 else None
+            for G_mc, G_ac, detuning, kappa, om_m, om_a in zip(
+                shared.G_mc.tolist(), shared.G_ac.tolist(), shared.detuning.tolist(),
+                shared.kappa.tolist(), shared.om_m.tolist(), shared.om_a.tolist(),
+            )
+        ]
+        for row, g in zip(cells, group.tolist()):
+            eff = effective[g]
+            if eff is not None:
                 row.update(freq_shift_mirror=eff.freq_shift_mirror,
                            freq_shift_bec=eff.freq_shift_bec,
                            coupling_ma=eff.coupling_ma, adiabatic=eff.adiabatic)
-    index = np.flatnonzero(stable)
+    index = np.flatnonzero(point_stable)
     if index.size == 0:
         return
-    covs, residuals = steady_covariances(drifts[index], build_diffusion(batch)[index])
+    # Only stable drifts are solved for: an unstable one's operator can be
+    # singular (two eigenvalues summing to zero) and would fail the block.
+    stable_id = np.cumsum(stable) - 1
+    covs, residuals = steady_covariances(
+        drifts[stable], build_diffusion(batch)[index], stable_id[group[index]]
+    )
     passed = residuals <= RESIDUAL_TOL
     results = iter(entanglement_results(reduce_to_modes(covs[passed]).cov))
     for i, rel, gate in zip(index.tolist(), residuals.tolist(), passed.tolist()):
@@ -305,26 +359,31 @@ def _evaluate(batch: ModelBatch, cells: list[dict], include_effective: bool) -> 
                    det_cov=result.det_cov)
 
 
-def _evaluate_or_split(batch: ModelBatch, cells: list[dict], include_effective: bool) -> None:
+def _evaluate_or_split(batch: ModelBatch, group: np.ndarray, cells: list[dict],
+                       include_effective: bool) -> None:
     """:func:`_evaluate`, falling back to one point at a time when the block
     fails, so that only the failing point carries the error."""
     try:
-        _evaluate(batch, cells, include_effective)
+        _evaluate(batch, group, cells, include_effective)
     except BecMirrorError as exc:
         if len(cells) == 1:
             cells[0]["status"] = f"error:{type(exc).__name__}"
             return
+        alone = np.zeros(1, dtype=np.intp)
         for i, row in enumerate(cells):
-            _evaluate_or_split(batch[i : i + 1], [row], include_effective)
+            _evaluate_or_split(batch[i : i + 1], alone, [row], include_effective)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid in row-major order.
+    """Evaluate the grid; its rows come in row-major order.
 
-    The models of the whole grid are assembled at once; the valid points are
-    evaluated in blocks of :data:`BLOCK_POINTS` through the same stacked code
-    whatever the grid size, so a point's row does not depend on the block it
-    falls in, and the output is deterministic.
+    The models of the whole grid are assembled at once and grouped by drift
+    once; the valid points are evaluated in blocks of :data:`BLOCK_POINTS` in
+    drift-id order, through the same stacked code whatever the grid size.  A
+    point's drift-only results come from bitwise-equal inputs, and its solve
+    from its drift's inverse, which is the same alone or stacked, so a
+    point's row does not depend on the block it falls in or on the points
+    that share its drift, and the output is deterministic.
     """
     axis_names = tuple(axis.name for axis in spec.axes)
     columns = [
@@ -338,12 +397,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cells = [dict.fromkeys(names) for _ in points]
     for row, error in zip(cells, status):
         row["status"] = error
-    valid = np.array([error is None for error in status], dtype=bool)
-    index = np.flatnonzero(valid)
-    for start in range(0, index.size, BLOCK_POINTS):
-        block = index[start : start + BLOCK_POINTS]
-        _evaluate_or_split(batch[block], [cells[i] for i in block.tolist()],
-                           spec.include_effective)
+    index = np.flatnonzero([error is None for error in status])
+    ids = _drift_ids(batch[index])
+    order = np.argsort(ids, kind="stable")
+    index, ids = index[order], ids[order]
+    with np.errstate(**_QUIET):
+        for start in range(0, index.size, BLOCK_POINTS):
+            block = index[start : start + BLOCK_POINTS]
+            group = ids[start : start + BLOCK_POINTS]
+            _evaluate_or_split(batch[block], group - group[0],
+                               [cells[i] for i in block.tolist()], spec.include_effective)
 
     provenance = {
         "schema_version": SCHEMA_VERSION,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import becmirror
 from becmirror.cli import load_config, main
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Stable, fast-relaxing configuration: near-resonant cavity, low-Q mirror,
 # weak drive; suitable for in-process stochastic runs.
@@ -212,6 +214,37 @@ class TestSweepCommand:
         )
         assert code == 0
         assert out.count(",ok,") == 3
+
+    def test_effective_overflow_gives_error_rows(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "demo.json"),
+            "--axis", "detuning:1e200:1e201:2", "--effective", "--out", str(out_path),
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        rows = [line for line in out_path.read_text().splitlines()
+                if line.startswith("1e+20")]
+        assert len(rows) == 2
+        assert all(",error:ValidationError," in row for row in rows)
+
+    @pytest.mark.parametrize("config, axis, expected", [
+        ("demo.json", "detuning:1e200:1e201:2", 0),
+        ("demo.json", "n_th:0:1e300:3", 1),
+        ("canonical.json", "g_mc:0:1e160:3", 0),
+        ("demo.json", "effective_detuning:-1e308:1e308:3", 2),
+    ])
+    def test_extreme_axis_values_raise_no_runtime_warning(self, capsys, config, axis,
+                                                          expected):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                capsys, "sweep", "--config", str(CONFIGS / config), "--axis", axis,
+                "--out", "-",
+            )
+        assert code == expected
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Warning" not in err
 
     def test_stdout_output(self, demo_config, capsys):
         code = main([

@@ -86,6 +86,17 @@ class TestEffectiveParameters:
         with pytest.raises(ValidationError):
             effective_parameters(-0.1, 0.1, 1.0, 0.5)
 
+    @pytest.mark.parametrize("G_mc, G_ac, detuning, kappa", [
+        (1.0, 1.0, 1e200, 1.0),  # detuning**2 raises OverflowError
+        (1e160, 0.0, 1.0, 1.0),  # G_mc**2 raises OverflowError
+        (1e154, 1e154, 1.0, 1.0),  # -8 G_mc G_ac overflows to -inf silently
+        (1.0, 1.0, 1e-200, 1e-200),  # the denominator underflows to zero
+    ])
+    def test_out_of_range_closed_forms_raise_validation_error(self, G_mc, G_ac, detuning,
+                                                             kappa):
+        with pytest.raises(ValidationError, match="out of float range"):
+            effective_parameters(G_mc, G_ac, detuning, kappa)
+
 
 class TestEntanglingRegime:
     def test_zero_coupling(self):

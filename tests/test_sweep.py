@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from becmirror import (
     run_sweep,
     solve_steady_covariance,
 )
-from becmirror.cli import _parse_axis
+from becmirror import sweep
+from becmirror.cli import _parse_axis, load_config
+from becmirror.dynamics import eigen_stability
 from becmirror.errors import BecMirrorError
 from becmirror.sweep import BLOCK_POINTS, _grid_models
 
 from support import TWO_PI, reference_input
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_spec(**axis_overrides) -> SweepSpec:
@@ -100,6 +105,15 @@ class TestAxisSpec:
         with pytest.raises(ValidationError, match=field):
             AxisSpec(**axis)
 
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (1.5e308, -1e308)])
+    def test_rejects_span_that_overflows(self, start, stop):
+        with pytest.raises(ValidationError, match="overflows"):
+            AxisSpec(name="effective_detuning", start=start, stop=stop, points=3)
+
+    def test_widest_finite_span_gives_finite_values(self):
+        axis = AxisSpec(name="effective_detuning", start=-8e307, stop=8e307, points=3)
+        np.testing.assert_array_equal(axis.values(), [-8e307, 0.0, 8e307])
+
     def test_numpy_scalars_are_stored_as_python_numbers(self):
         axis = AxisSpec(name="temperature", start=np.float32(1.0), stop=2,
                         points=np.int64(3))
@@ -114,6 +128,7 @@ class TestAxisSpec:
             return
         assert isinstance(axis, AxisSpec)
         assert math.isfinite(axis.start) and math.isfinite(axis.stop)
+        assert np.all(np.isfinite(axis.values()))
 
 
 class TestSweepSpec:
@@ -378,6 +393,100 @@ class TestGridAssembly:
         )
         result = run_sweep(spec)
         assert [row.cells["status"] for row in result.rows] == ["error:ValidationError"] * 4
+
+
+def count_drifts(monkeypatch) -> list[int]:
+    """Record the number of matrices of each stacked eigenvalue call a sweep
+    makes."""
+    counts: list[int] = []
+
+    def counting(drifts):
+        counts.append(len(drifts))
+        return eigen_stability(drifts)
+
+    monkeypatch.setattr(sweep, "eigen_stability", counting)
+    return counts
+
+
+class TestDriftSharing:
+    """Points whose drifts are bitwise equal share the drift-only work."""
+
+    @staticmethod
+    def temperature_spec() -> SweepSpec:
+        # The temperature changes the diffusion only.  -2e-5 K is invalid, so
+        # each detuning keeps 4 valid points; 4 divides BLOCK_POINTS, so no
+        # drift has points in two blocks, and the 80 valid points fill two
+        # blocks, the second one partially.
+        return SweepSpec(
+            base=load_config(str(CONFIGS / "demo.json")),
+            axes=(
+                AxisSpec(name="temperature", start=-2e-5, stop=1e-4, points=5),
+                AxisSpec(name="effective_detuning", start=4.8e6, stop=1.9e7, points=20),
+            ),
+            include_effective=True,
+        )
+
+    def test_rows_match_single_point_sweeps(self):
+        spec = self.temperature_spec()
+        result = run_sweep(spec)
+        statuses = [row.cells["status"] for row in result.rows]
+        assert statuses == ["error:ValidationError"] * 20 + ["ok"] * 80
+        assert all(row.cells["coupling_ma"] is not None for row in result.rows[20:])
+        assert_rows_match_single_point_sweeps(spec, result)
+
+    def test_stability_runs_once_per_distinct_detuning(self, monkeypatch):
+        counts = count_drifts(monkeypatch)
+        run_sweep(self.temperature_spec())
+        assert BLOCK_POINTS % 4 == 0
+        assert sum(counts) == 20
+
+    def test_signed_zero_couplings_are_not_merged(self, monkeypatch):
+        # linspace(0.0, -0.0) gives both signed zeros; the drift entries they
+        # set differ in their sign bit only.
+        spec = SweepSpec(base=reference_input(),
+                         axes=(AxisSpec(name="g_ac", start=0.0, stop=-0.0, points=2),))
+        assert np.signbit(spec.axes[0].values()).tolist() == [False, True]
+        counts = count_drifts(monkeypatch)
+        result = run_sweep(spec)
+        assert sum(counts) == 2
+        monkeypatch.undo()
+        assert_rows_match_single_point_sweeps(spec, result)
+
+    @staticmethod
+    def coupling_spec() -> SweepSpec:
+        # At bec_coupling = 0 the condensate block [[0, om_a], [-om_a, 0]] is
+        # lossless and decoupled: the drift is marginal and its Lyapunov
+        # operator singular.  The other couplings are stable.
+        return SweepSpec(
+            base=load_config(str(CONFIGS / "demo.json")),
+            axes=(
+                AxisSpec(name="temperature", start=1e-6, stop=1e-4, points=3),
+                AxisSpec(name="bec_coupling", start=0.0, stop=400.0, points=3),
+            ),
+        )
+
+    def test_unstable_drift_is_not_solved_for(self, monkeypatch):
+        # Solving for the singular drift would fail the block, and the
+        # one-point fallback would check stability again point by point.
+        counts = count_drifts(monkeypatch)
+        result = run_sweep(self.coupling_spec())
+        assert [row.cells["status"] for row in result.rows] == ["unstable", "ok", "ok"] * 3
+        assert sum(counts) == 3
+
+    def test_singular_drift_fails_only_its_points(self, monkeypatch):
+        # Declaring every drift stable sends the singular one to the solver
+        # next to regular drifts in one block.
+        def all_stable(drifts):
+            eigenvalues, abscissa, marginal, stable = eigen_stability(drifts)
+            return eigenvalues, abscissa, marginal, np.ones_like(stable)
+
+        monkeypatch.setattr(sweep, "eigen_stability", all_stable)
+        spec = self.coupling_spec()
+        result = run_sweep(spec)
+        assert [row.cells["status"] for row in result.rows] == [
+            "error:NumericalError", "ok", "ok"
+        ] * 3
+        assert_rows_match_single_point_sweeps(spec, result)
 
 
 class TestEmit:
