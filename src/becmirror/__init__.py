@@ -18,7 +18,7 @@ from .dynamics import (
     check_stability_eigen,
     symplectic_form,
 )
-from .effective import EffectiveModel, effective_parameters, entangling_regime
+from .effective import EffectiveModel, effective_parameters
 from .entanglement import (
     EntanglementResult,
     ReducedState,
@@ -93,7 +93,6 @@ __all__ = [
     "effective_parameters",
     "emit",
     "ensemble_covariance",
-    "entangling_regime",
     "entanglement_result",
     "homodyne_output",
     "homodyne_weights",

@@ -99,13 +99,3 @@ def effective_parameters(
         resonant=resonant,
     )
 
-
-def entangling_regime(coupling_ma: float, om_m: float) -> bool:
-    """Whether the effective coupling reaches the mechanical frequency.
-
-    The comparison uses magnitudes (the coupling is negative for positive
-    detuning) and the boundary is inclusive.
-    """
-    if om_m <= 0:
-        raise ValidationError(f"om_m must be > 0, got {om_m!r}")
-    return abs(coupling_ma) >= om_m

@@ -20,7 +20,7 @@ failures: their rows carry an explicit ``unstable`` status and empty measure
 columns.  A point that fails carries the error in its own row and leaves its
 neighbours untouched.  Output is deterministic byte-for-byte, with a
 provenance header carrying a configuration hash and the pinned constants
-version.
+version; :func:`emit` formats it column by column, each distinct value once.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 from importlib import metadata
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -418,19 +419,91 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(axis_names=axis_names, columns=names, rows=rows, provenance=provenance)
 
 
-def _format_cell(value) -> str:
+#: JSON's words for the non-finite floats, keyed by their ``float.__repr__``
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: the JSON layout of :func:`emit`; one encoder for every part of the document
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
+def _kind_texts(values: list, kind: type, float_text, other_text) -> np.ndarray:
+    """Object array of the texts of ``values``, all of type ``kind``, with one
+    call of ``float_text`` or ``other_text`` per distinct value."""
+    if issubclass(kind, float):
+        bits = np.fromiter(values, dtype=np.float64, count=len(values)).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        # Any value with a given bit pattern will do: they all print alike.
+        pick = np.empty(distinct.size, dtype=np.intp)
+        pick[inverse] = np.arange(len(values))
+        texts = map(float_text, map(values.__getitem__, pick.tolist()))
+        return np.fromiter(texts, dtype=object, count=pick.size)[inverse]
+    lookup = {value: other_text(value) for value in set(values)}
+    return np.fromiter(map(lookup.__getitem__, values), dtype=object, count=len(values))
+
+
+def _texts(values: list, float_text, other_text) -> list[str]:
+    """The texts of a column of values, formatted once per distinct value.
+
+    Values are grouped by type; within a group, floats are told apart by their
+    bit pattern and other values by equality.
+    """
+    kinds = list(map(type, values))
+    groups = set(kinds)
+    if len(groups) == 1:  # most columns: no split needed
+        return _kind_texts(values, groups.pop(), float_text, other_text).tolist()
+    code = {kind: k for k, kind in enumerate(groups)}
+    codes = np.fromiter(map(code.__getitem__, kinds), dtype=np.intp, count=len(kinds))
+    column = np.fromiter(values, dtype=object, count=len(values))
+    texts = np.empty(len(values), dtype=object)
+    for kind, k in code.items():
+        where = codes == k
+        texts[where] = _kind_texts(column[where].tolist(), kind, float_text, other_text)
+    return texts.tolist()
+
+
 def emit(result: SweepResult, fmt: str = "csv") -> bytes:
-    """Serialize a sweep result; byte-identical for identical inputs."""
+    """Serialize a sweep result; byte-identical for identical inputs.
+
+    CSV: a ``#`` header with the provenance, a line of the axis and cell
+    column names, then one line per row.  Axis values are written with
+    ``repr``; a cell that is None is empty, a bool is ``true`` or ``false``, a
+    float is its ``repr`` and anything else its ``str``.
+
+    JSON: one object with the sorted keys ``axes``, ``columns``,
+    ``provenance`` and ``rows``, separators ``,`` and ``:``, and a final
+    newline, as ``json.dumps(..., sort_keys=True)`` writes it.  Each row is an
+    object of its cells and ``axis_values``, with sorted keys.  A finite float
+    is its ``float.__repr__``; a non-finite one is ``NaN``, ``Infinity`` or
+    ``-Infinity``.
+
+    The table is formatted column by column, and each distinct value of a
+    column once.  Floats count as distinct by bit pattern, never by float
+    equality: ``0.0 == -0.0`` (and the two hash alike) although they print
+    differently, and NaN never equals itself.  Other cells count as distinct
+    by type and value, so ``True`` and ``1.0`` stay apart; they must be
+    hashable.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"unknown format {fmt!r}; use csv or json")
+    axes = [list(axis) for axis in zip(*(row.axis_values for row in result.rows))]
+    cells = [row.cells for row in result.rows]
+    columns = {name: list(map(itemgetter(name), cells)) for name in result.columns}
     if fmt == "csv":
+        texts = [_texts(axis, repr, repr) for axis in axes]
+        texts += [_texts(columns[name], repr, _csv_cell) for name in result.columns]
         lines = [
             "# becmirror sweep",
             f"# schema_version={result.provenance['schema_version']}",
@@ -438,27 +511,27 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
             f"# constants_version={result.provenance['constants_version']}",
             f"# package_version={result.provenance['package_version']}",
             ",".join(result.axis_names + result.columns),
+            *map(",".join, zip(*texts)),
         ]
-        for row in result.rows:
-            cells = [repr(v) for v in row.axis_values]
-            cells += [_format_cell(row.cells[c]) for c in result.columns]
-            lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode()
-    if fmt == "json":
-        doc = {
-            "provenance": result.provenance,
-            "axes": list(result.axis_names),
-            "columns": list(result.columns),
-            "rows": [
-                {
-                    "axis_values": list(row.axis_values),
-                    **{c: row.cells[c] for c in result.columns},
-                }
-                for row in result.rows
-            ],
-        }
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
-    raise ValidationError(f"unknown format {fmt!r}; use csv or json")
+    # Each row object is one %-template, as json.dumps would lay out its keys.
+    fields = {
+        "axis_values": ("[" + ",".join(["%s"] * len(axes)) + "]", axes),
+        **{name: ("%s", [columns[name]]) for name in result.columns},
+    }
+    keys = sorted(fields)
+    template = "{" + ",".join(
+        _json(key).replace("%", "%%") + ":" + fields[key][0] for key in keys
+    ) + "}"
+    texts = [_texts(values, _json_float, _json) for key in keys for values in fields[key][1]]
+    head = _json({
+        "axes": list(result.axis_names),
+        "columns": list(result.columns),
+        "provenance": result.provenance,
+    })
+    # "rows" sorts after the other three keys, so it closes the document.
+    rows = ",".join(template % row for row in zip(*texts))
+    return (head[:-1] + ',"rows":[' + rows + "]}\n").encode()
 
 
 def _parse_cell(text: str):
@@ -474,8 +547,19 @@ def _parse_cell(text: str):
         return text
 
 
+def _parse_schema_version(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"schema_version must be an integer, got {text!r}") from None
+
+
 def parse_sweep(blob: bytes, fmt: str = "csv") -> dict:
-    """Round-trip companion to :func:`emit`."""
+    """Round-trip companion to :func:`emit`.
+
+    The CSV header's provenance values are read as strings, except
+    ``schema_version``, an integer, as in the JSON document.
+    """
     if fmt == "json":
         return json.loads(blob.decode())
     if fmt != "csv":
@@ -489,8 +573,8 @@ def parse_sweep(blob: bytes, fmt: str = "csv") -> dict:
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
-                key, _, value = body.partition("=")
-                provenance[key.strip()] = _parse_cell(value.strip())
+                key, _, value = (part.strip() for part in body.partition("="))
+                provenance[key] = _parse_schema_version(value) if key == "schema_version" else value
             continue
         cells = line.split(",")
         if header is None:

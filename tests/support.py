@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 from scipy.linalg import expm
 
-from becmirror import ModelParams, PhysicalInput
+from becmirror import ModelParams, PhysicalInput, SweepResult, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -162,3 +164,47 @@ def routh_hurwitz_verdict(coeffs: np.ndarray) -> bool | None:
     if np.any(np.abs(column) < 1e-12 * scale):
         return None
     return bool(np.all(column > 0))
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_emit(result: SweepResult, fmt: str = "csv") -> bytes:
+    """Row-wise oracle for :func:`becmirror.emit`: every cell is formatted on its
+    own, and the JSON document is one ``json.dumps`` call."""
+    if fmt == "csv":
+        lines = [
+            "# becmirror sweep",
+            f"# schema_version={result.provenance['schema_version']}",
+            f"# config_hash={result.provenance['config_hash']}",
+            f"# constants_version={result.provenance['constants_version']}",
+            f"# package_version={result.provenance['package_version']}",
+            ",".join(result.axis_names + result.columns),
+        ]
+        for row in result.rows:
+            cells = [repr(v) for v in row.axis_values]
+            cells += [_format_cell(row.cells[c]) for c in result.columns]
+            lines.append(",".join(cells))
+        return ("\n".join(lines) + "\n").encode()
+    if fmt == "json":
+        doc = {
+            "provenance": result.provenance,
+            "axes": list(result.axis_names),
+            "columns": list(result.columns),
+            "rows": [
+                {
+                    "axis_values": list(row.axis_values),
+                    **{c: row.cells[c] for c in result.columns},
+                }
+                for row in result.rows
+            ],
+        }
+        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    raise ValidationError(f"unknown format {fmt!r}; use csv or json")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from becmirror import ValidationError, effective_parameters, entangling_regime
+from becmirror import ValidationError, effective_parameters
 
 
 class TestEffectiveParameters:
@@ -97,22 +97,3 @@ class TestEffectiveParameters:
         with pytest.raises(ValidationError, match="out of float range"):
             effective_parameters(G_mc, G_ac, detuning, kappa)
 
-
-class TestEntanglingRegime:
-    def test_zero_coupling(self):
-        assert not entangling_regime(0.0, 1.0)
-
-    def test_boundary_inclusive(self):
-        assert entangling_regime(-1.0, 1.0)
-        assert entangling_regime(1.0, 1.0)
-
-    def test_strong_coupling(self):
-        assert entangling_regime(-2.0, 1.0)
-
-    def test_magnitude_comparison(self):
-        assert entangling_regime(-1.5, 1.2)
-        assert not entangling_regime(-0.5, 1.2)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValidationError):
-            entangling_regime(1.0, 0.0)

@@ -28,9 +28,9 @@ from becmirror import sweep
 from becmirror.cli import _parse_axis, load_config
 from becmirror.dynamics import eigen_stability
 from becmirror.errors import BecMirrorError
-from becmirror.sweep import BLOCK_POINTS, _grid_models
+from becmirror.sweep import BLOCK_POINTS, SweepResult, SweepRow, _grid_models
 
-from support import TWO_PI, reference_input
+from support import TWO_PI, reference_emit, reference_input
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -58,6 +58,37 @@ _AXIS_STRINGS = st.one_of(
     st.tuples(_AXIS_NAMES, _AXIS_NUMBERS, _AXIS_NUMBERS, _AXIS_POINTS,
               st.sampled_from(["log", "linear", "x"])).map(":".join),
 )
+
+#: floats that equality does not tell apart (signed zeros, NaNs), and edge cases of repr
+_EMIT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                     1e-5, 0.1 + 0.2, 1.0]),
+    st.floats(),
+)
+_EMIT_CELLS = st.one_of(
+    _EMIT_FLOATS,
+    st.sampled_from([None, True, False, "ok", "unstable", "error:ValidationError",
+                     "error:NumericalError"]),
+)
+
+
+@st.composite
+def _sweep_results(draw) -> SweepResult:
+    """Hand-built sweep results of 1 or 2 axes, with or without the effective
+    columns."""
+    n_axes = draw(st.integers(1, 2))
+    columns = sweep._MEASURE_COLUMNS
+    if draw(st.booleans()):
+        columns += sweep._EFFECTIVE_COLUMNS
+    row = st.builds(SweepRow, st.tuples(*[_EMIT_FLOATS] * n_axes),
+                    st.fixed_dictionaries(dict.fromkeys(columns, _EMIT_CELLS)))
+    return SweepResult(
+        axis_names=("temperature", "g_mc")[:n_axes],
+        columns=columns,
+        rows=tuple(draw(st.lists(row, max_size=12))),
+        provenance={"schema_version": 1, "config_hash": "0123abcd",
+                    "constants_version": "codata-2018", "package_version": "0.1.0"},
+    )
 
 
 def single_point_row(spec: SweepSpec, values: tuple[float, ...]):
@@ -517,6 +548,15 @@ class TestEmit:
             assert parsed_row["nu_minus"] == row.cells["nu_minus"]
             assert parsed_row["eigen_stable"] == row.cells["eigen_stable"]
 
+    def test_round_trip_csv_keeps_provenance_strings(self):
+        # Digit-only hashes, and digits around one "e", read as numbers.
+        for config_hash in ("1234567890123456", "12e4567890123456"):
+            result = replace(run_sweep(small_spec(points=2)), provenance={
+                "schema_version": 1, "config_hash": config_hash,
+                "constants_version": "codata-2018", "package_version": "1.0",
+            })
+            assert parse_sweep(emit(result, "csv"), "csv")["provenance"] == result.provenance
+
     def test_round_trip_json(self):
         result = run_sweep(small_spec(points=2))
         parsed = parse_sweep(emit(result, "json"), "json")
@@ -531,3 +571,38 @@ class TestEmit:
         a = run_sweep(small_spec(points=2)).provenance["config_hash"]
         b = run_sweep(small_spec(points=3)).provenance["config_hash"]
         assert a != b
+
+    @settings(max_examples=50, deadline=None)
+    @given(result=_sweep_results())
+    def test_matches_row_wise_reference(self, result):
+        for fmt in ("csv", "json"):
+            assert emit(result, fmt) == reference_emit(result, fmt)
+
+    def test_equal_floats_that_print_differently_stay_apart(self):
+        values = [0.0, -0.0, math.nan, -math.nan, math.inf, True, 1.0, None, 1, "1.0"]
+        result = SweepResult(
+            axis_names=("g_mc",), columns=("status",),
+            rows=tuple(SweepRow(axis_values=(v,), cells={"status": v}) for v in values),
+            provenance=run_sweep(small_spec(points=1)).provenance,
+        )
+        for fmt in ("csv", "json"):
+            assert emit(result, fmt) == reference_emit(result, fmt)
+        assert emit(result, "csv").decode().splitlines()[-10:] == [
+            "0.0,0.0", "-0.0,-0.0", "nan,nan", "nan,nan", "inf,inf", "True,true",
+            "1.0,1.0", "None,", "1,1", "'1.0',1.0",
+        ]
+
+    @pytest.mark.parametrize("config, axes, effective", [
+        ("demo.json", ("temperature:1e-6:1e-3:48:log",
+                       "effective_detuning:4712388.98:18849555.92:48"), True),
+        ("canonical.json", ("g_mc:0:500:64", "g_ac:0:500:64"), False),
+        ("demo.json", ("detuning:1e200:1e201:2",), False),
+        ("demo.json", ("n_th:0:1e300:3",), False),
+        ("canonical.json", ("g_mc:0:1e160:3",), False),
+    ])
+    def test_sweeps_match_row_wise_reference(self, config, axes, effective):
+        spec = SweepSpec(base=load_config(str(CONFIGS / config)),
+                         axes=tuple(map(_parse_axis, axes)), include_effective=effective)
+        result = run_sweep(spec)
+        for fmt in ("csv", "json"):
+            assert emit(result, fmt) == reference_emit(result, fmt)
