@@ -50,7 +50,6 @@ FREQUENCY_FIELDS = (
     "mirror_damping",
     "cavity_decay",
     "effective_detuning",
-    "bare_detuning",
     "recoil_frequency",
     "bec_frequency",
     "bec_coupling",

@@ -47,17 +47,10 @@ def _finite(stack: np.ndarray, name: str) -> None:
 def residuals(drifts: np.ndarray, diffusions: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Relative Lyapunov residuals ||M V + V M^T + D||_F / ||D||_F of a stack.
 
-    The stacked core of :func:`residual`; a point whose D vanishes gets the
-    absolute residual.
-
-    Raises
-    ------
-    ValidationError
-        If any input contains non-finite entries.
+    The stacked core of :func:`residual`, which validates its inputs; here a
+    point with non-finite entries gets a NaN or infinite residual, and a
+    point whose D vanishes gets the absolute residual.
     """
-    _finite(drifts, "drift")
-    _finite(diffusions, "diffusion")
-    _finite(covs, "covariance")
     r = drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions
     scale = np.linalg.norm(diffusions, axis=(-2, -1))
     return np.linalg.norm(r, axis=(-2, -1)) / np.where(scale == 0.0, 1.0, scale)
@@ -129,22 +122,25 @@ def steady_covariances(
 
     Each drift gives one (m, m) linear system in the m = n(n+1)/2
     upper-triangle entries of V, whose coefficients are gathered from M (see
-    :func:`_symmetric_tables`).  The K systems are inverted once each, and
-    each point applies its drift's inverse to the upper triangle of the
-    symmetric part of its D, then once more for one step of iterative
-    refinement.  An inverse, unlike a factorization solved for many
-    right-hand sides, gives the same bits stacked or alone, so a point's
-    result does not depend on the other points of the call.  V is filled
-    from its triangle, so it is symmetric exactly.
+    :func:`_symmetric_tables`).  The K systems are inverted once each, in one
+    stacked call; only if LAPACK refuses the stack are they inverted one by
+    one, so that a singular system fails its own points alone.  Each point
+    applies its drift's inverse to the upper triangle of the symmetric part
+    of its D, then once more for one step of iterative refinement.  An
+    inverse, unlike a factorization solved for many right-hand sides, gives
+    the same bits stacked or alone, so a point's result does not depend on
+    the other points of the call.  V is filled from its triangle, so it is
+    symmetric exactly.
+
+    A point whose drift's system is singular to working precision gets
+    residual inf and a meaningless covariance; a point whose covariance
+    leaves the float range gets an inf or NaN residual.  Neither passes a
+    residual gate, and neither affects the other points.
 
     Raises
     ------
     ValidationError
-        If any input contains non-finite entries.
-    NumericalError
-        If the system of any drift is singular to working precision; the
-        whole call fails, so callers that need per-point verdicts solve
-        again one point at a time.
+        If a drift or a diffusion contains non-finite entries.
     """
     _finite(drifts, "drift")
     _finite(diffusions, "diffusion")
@@ -152,13 +148,23 @@ def steady_covariances(
     rows, cols, first, second, unknown = _symmetric_tables(n)
     padded = np.zeros((count, n * n + 1))
     padded[:, : n * n] = drifts.reshape(count, n * n)
+    systems = padded[:, first] + padded[:, second]
+    singular = np.zeros(count, dtype=bool)
     try:
-        inverses = np.linalg.inv(padded[:, first] + padded[:, second])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Lyapunov system is singular to working precision") from exc
+        inverses = np.linalg.inv(systems)
+    except np.linalg.LinAlgError:
+        # An inverse has the same bits alone as stacked.  C order keeps the
+        # stacked products below on the same bits as well.
+        inverses = np.zeros(systems.shape)
+        for k, system in enumerate(systems):
+            try:
+                inverses[k] = np.linalg.inv(system)
+            except np.linalg.LinAlgError:
+                singular[k] = True
     if group is not None:
         drifts = drifts[group]
         inverses = inverses[group]
+        singular = singular[group]
 
     def sym_solve(rhs: np.ndarray) -> np.ndarray:
         # Right-hand side: the upper triangle of the symmetric part of rhs.
@@ -168,7 +174,9 @@ def steady_covariances(
     covs = sym_solve(diffusions)
     # One step of iterative refinement buys margin on ill-conditioned systems.
     covs = covs + sym_solve(drifts @ covs + covs @ drifts.swapaxes(-1, -2) + diffusions)
-    return covs, residuals(drifts, diffusions, covs)
+    rel = residuals(drifts, diffusions, covs)
+    rel[singular] = np.inf
+    return covs, rel
 
 
 def solve_steady_covariance(
@@ -199,7 +207,8 @@ def solve_steady_covariance(
     StabilityError
         If M is unstable or marginal (no stationary state exists).
     NumericalError
-        If the solution fails the residual gate ``RESIDUAL_TOL``.
+        If the Lyapunov system is singular to working precision, or the
+        solution fails the residual gate ``RESIDUAL_TOL``.
     """
     drift = _as_square(drift, "drift")
     diffusion = _as_square(diffusion, "diffusion")
@@ -216,6 +225,10 @@ def solve_steady_covariance(
                 f"{report.spectral_abscissa:.6e}); no stationary covariance"
             )
     covs, rel = steady_covariances(drift[None], diffusion[None])
+    if rel[0] == np.inf:
+        raise NumericalError(
+            "Lyapunov system is singular to working precision, or its solution overflows"
+        )
     if not rel[0] <= RESIDUAL_TOL:
         raise NumericalError(
             f"Lyapunov residual {rel[0]:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}"

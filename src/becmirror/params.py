@@ -4,9 +4,10 @@ an intracavity atomic condensate.
 All frequencies, rates and couplings are angular (rad/s) unless noted.  The
 raw experimental knobs live in :class:`PhysicalInput`; :func:`derive_parameters`
 turns them into the reduced set entering the linearized dynamics, and
-:func:`steady_state_field` evaluates the classical mean fields for a chosen
-effective detuning.  :func:`self_consistent_detuning` solves the cavity
-backaction relation when only the bare detuning is known.
+:func:`steady_state_field` evaluates the classical mean fields at the
+effective detuning.  :func:`self_consistent_detuning` is the library route
+from a bare detuning to the effective ones: it solves the cavity backaction
+relation.
 
 The derivation arithmetic broadcasts: run on numbers it returns Python
 floats, run on arrays of inputs it returns arrays, and
@@ -31,16 +32,26 @@ logger = logging.getLogger(__name__)
 _CHOICE_GROUPS = (
     (("finesse",), ("cavity_decay",)),
     (("bec_coupling",), ("lattice_depth", "atom_number")),
-    (("effective_detuning",), ("bare_detuning",)),
     (("recoil_frequency",), ("bec_frequency",)),
 )
 
-_STRICTLY_POSITIVE = (
-    "cavity_length",
-    "laser_wavelength",
-    "laser_power",
-    "mirror_mass",
-    "mirror_frequency",
+#: PhysicalInput fields bounded below by 0, and whether the bound is strict;
+#: the remaining field, ``effective_detuning``, may take any finite value
+_PHYSICAL_BOUNDS = (
+    ("cavity_length", True),
+    ("laser_wavelength", True),
+    ("laser_power", True),
+    ("mirror_mass", True),
+    ("mirror_frequency", True),
+    ("mirror_damping", False),
+    ("temperature", False),
+    ("finesse", True),
+    ("cavity_decay", True),
+    ("bec_coupling", False),
+    ("lattice_depth", False),
+    ("atom_number", True),
+    ("recoil_frequency", True),
+    ("bec_frequency", True),
 )
 
 
@@ -64,9 +75,29 @@ def finite_real(name: str, value) -> float:
     return value
 
 
+def _within_bound(value, strict: bool):
+    """``value > 0``, or ``value >= 0`` if not ``strict``, for a number or an
+    array; NaN is within no bound."""
+    return value > 0 if strict else value >= 0
+
+
+def _check_bounds(obj, bounds) -> None:
+    """Raise for the first field of ``bounds`` that ``obj`` sets outside its
+    bound."""
+    for name, strict in bounds:
+        value = getattr(obj, name)
+        if value is not None and not _within_bound(value, strict):
+            raise ValidationError(f"{name} must be {'> 0' if strict else '>= 0'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalInput:
     """Raw experimental parameters.
+
+    Every supplied field must be a finite real number, and every field but
+    ``effective_detuning`` is bounded below by 0 (see ``_PHYSICAL_BOUNDS``).
+    Of each alternative pair below exactly one side must be supplied; the
+    other stays None.
 
     Attributes:
         cavity_length: Cavity length L (m).
@@ -76,6 +107,9 @@ class PhysicalInput:
         mirror_frequency: Mechanical resonance frequency (rad/s).
         mirror_damping: Mechanical amplitude decay rate gamma (rad/s).
         temperature: Mirror bath temperature (K), >= 0.
+        effective_detuning: Effective cavity detuning (rad/s), including the
+            backaction shifts; :func:`self_consistent_detuning` gives it from
+            a bare detuning.
         finesse: Cavity finesse; alternative to ``cavity_decay``.
         cavity_decay: Cavity amplitude decay rate kappa (rad/s); alternative
             to ``finesse``.
@@ -83,10 +117,6 @@ class PhysicalInput:
             the (``lattice_depth``, ``atom_number``) pair.
         lattice_depth: Optical-lattice depth per photon U_o (rad/s).
         atom_number: Number of condensate atoms N.
-        effective_detuning: Effective cavity detuning (rad/s), used directly
-            by the default pipeline; alternative to ``bare_detuning``.
-        bare_detuning: Bare cavity detuning (rad/s) before backaction shifts;
-            resolved through :func:`self_consistent_detuning`.
         recoil_frequency: Atomic recoil frequency (rad/s); the condensate mode
             frequency is four times this value.  Alternative to
             ``bec_frequency``.
@@ -100,13 +130,12 @@ class PhysicalInput:
     mirror_frequency: float
     mirror_damping: float
     temperature: float
+    effective_detuning: float
     finesse: float | None = None
     cavity_decay: float | None = None
     bec_coupling: float | None = None
     lattice_depth: float | None = None
     atom_number: float | None = None
-    effective_detuning: float | None = None
-    bare_detuning: float | None = None
     recoil_frequency: float | None = None
     bec_frequency: float | None = None
 
@@ -115,12 +144,7 @@ class PhysicalInput:
             value = getattr(self, name)
             if value is not None or required:
                 finite_real(name, value)
-        for name in _STRICTLY_POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name in ("mirror_damping", "temperature"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        _check_bounds(self, _PHYSICAL_BOUNDS)
         for left, right in _CHOICE_GROUPS:
             message = "exactly one of %s or %s must be supplied" % (
                 "/".join(left),
@@ -134,19 +158,25 @@ class PhysicalInput:
                 getattr(self, n) is not None for n in right
             ):
                 raise ValidationError(message)
-        for name in ("finesse", "cavity_decay", "atom_number",
-                     "recoil_frequency", "bec_frequency"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValidationError(f"{name} must be > 0, got {value!r}")
-        for name in ("bec_coupling", "lattice_depth"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
+
+    def admits(self, name: str, values: np.ndarray) -> np.ndarray:
+        """Mask of the ``values`` that field ``name`` may take in place of its
+        value here, by the rules of the constructor.
+
+        A field that this input leaves unset takes no value: setting it would
+        supply both sides of its alternative pair.
+        """
+        if getattr(self, name) is None:
+            return np.zeros(np.shape(values), dtype=bool)
+        mask = np.isfinite(values)
+        for field, strict in _PHYSICAL_BOUNDS:
+            if field == name:
+                mask &= _within_bound(values, strict)
+        return mask
 
 
 #: (field name, whether it is required) of every PhysicalInput field
@@ -171,8 +201,7 @@ class DerivedParams:
         om_a: Condensate mode frequency (rad/s).
         gamma: Mirror damping rate (rad/s).
         n_th: Mean thermal phonon occupation of the mirror bath.
-        detuning: Effective detuning if supplied on the input, else None.
-        bare_detuning: Bare detuning if supplied on the input, else None.
+        detuning: Effective detuning of the input.
     """
 
     om_p: float
@@ -185,8 +214,7 @@ class DerivedParams:
     om_a: float
     gamma: float
     n_th: float
-    detuning: float | None = None
-    bare_detuning: float | None = None
+    detuning: float
 
 
 @dataclass(frozen=True)
@@ -220,12 +248,6 @@ _MODEL_BOUNDS = (
 )
 
 
-def _within_bound(value, strict: bool):
-    """``value > 0``, or ``value >= 0`` if not ``strict``, for a number or an
-    array; NaN is within no bound."""
-    return value > 0 if strict else value >= 0
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Reduced parameter set of the linearized three-mode dynamics."""
@@ -243,11 +265,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in _MODEL_FIELDS:
             finite_real(name, getattr(self, name))
-        for name, strict in _MODEL_BOUNDS:
-            value = getattr(self, name)
-            if not _within_bound(value, strict):
-                bound = "> 0" if strict else ">= 0"
-                raise ValidationError(f"{name} must be {bound}, got {value!r}")
+        _check_bounds(self, _MODEL_BOUNDS)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -291,8 +309,7 @@ class ModelBatch:
         Raises
         ------
         ValidationError
-            If no effective detuning is available, or ``derived.kappa`` is
-            not positive at some point.
+            If ``derived.kappa`` is a number that is not positive.
         """
         values = _model_fields(derived, detuning)
         return cls(**{
@@ -314,9 +331,9 @@ class ModelBatch:
 
 
 def _number_or_array(value):
-    """A scalar result as a Python float (tables print its ``repr``); None
-    and arrays as they are."""
-    if value is None or np.ndim(value) > 0:
+    """A scalar result as a Python float (tables print its ``repr``); an
+    array as it is."""
+    if np.ndim(value) > 0:
         return value
     return float(value)
 
@@ -379,7 +396,6 @@ def derive_parameters(inp: PhysicalInput) -> DerivedParams:
         gamma=inp.mirror_damping,
         n_th=n_th,
         detuning=inp.effective_detuning,
-        bare_detuning=inp.bare_detuning,
     )
     return DerivedParams(**{name: _number_or_array(v) for name, v in values.items()})
 
@@ -390,9 +406,15 @@ def steady_state_field(derived: DerivedParams, detuning: float) -> CavitySteadyS
     The intracavity amplitude is E / (kappa + i detuning); the mirror and
     condensate means follow from their closed forms, and the effective
     couplings are sqrt(2) g |field|.  Broadcasts over array fields and
-    detunings.
+    detunings; where an array ``kappa`` is not positive the fields are
+    meaningless, and :meth:`ModelBatch.valid` masks those points.
+
+    Raises
+    ------
+    ValidationError
+        If ``kappa`` is a number that is not positive.
     """
-    if np.any(derived.kappa <= 0):
+    if np.ndim(derived.kappa) == 0 and derived.kappa <= 0:
         raise ValidationError(f"kappa must be > 0, got {derived.kappa!r}")
     denom = derived.kappa + 1j * detuning
     field = derived.drive / denom
@@ -422,10 +444,6 @@ def _model_fields(derived: DerivedParams, detuning: float | np.ndarray | None = 
     """Field values of the model at ``detuning``, numbers or arrays."""
     if detuning is None:
         detuning = derived.detuning
-    if detuning is None:
-        raise ValidationError(
-            "no effective detuning available; supply one or use self_consistent_detuning"
-        )
     ss = steady_state_field(derived, detuning)
     return dict(
         om_m=derived.om_m,

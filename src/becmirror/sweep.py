@@ -17,8 +17,10 @@ with one operator inverse per distinct stable drift, and the entanglement
 measures) per point, through the same stacked code the single-point
 functions run at N = 1.  Unstable points are evaluations, not
 failures: their rows carry an explicit ``unstable`` status and empty measure
-columns.  A point that fails carries the error in its own row and leaves its
-neighbours untouched.  Output is deterministic byte-for-byte, with a
+columns.  Every failure is a per-point mask, set at the stage where the
+point fails: the point's row carries ``error:<ErrorType>`` with the cells of
+the stages it passed, and its neighbours are untouched.  No stage is retried
+for a part of the grid.  Output is deterministic byte-for-byte, with a
 provenance header carrying a configuration hash and the pinned constants
 version; :func:`emit` formats it column by column, each distinct value once.
 """
@@ -154,6 +156,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
             raise ValidationError(f"sweeps support 1 or 2 axes, got {len(self.axes)}")
+        names = [axis.name for axis in self.axes]
+        if len(set(names)) < len(names):
+            raise ValidationError(f"sweep axes must name distinct parameters, got {names}")
 
 
 @dataclass(frozen=True)
@@ -187,38 +192,24 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _error_status(make, *args, **kwargs) -> str | None:
-    """The error status of ``make(*args, **kwargs)``, None if it succeeds."""
-    try:
-        make(*args, **kwargs)
-    except BecMirrorError as exc:
-        return f"error:{type(exc).__name__}"
-    return None
-
-
 def _grid_models(
     base: PhysicalInput, columns: dict[str, np.ndarray]
-) -> tuple[ModelBatch, list[str | None]]:
-    """Models of the points whose axis values are ``columns``, and each
-    point's error status, None for a valid model.
+) -> tuple[ModelBatch, np.ndarray]:
+    """Models of the points whose axis values are ``columns``, and the mask
+    of the valid ones.
 
-    Each distinct value of a physical axis is validated once, as the base
-    configuration with that value.  Every :class:`PhysicalInput` rule is about
-    one field or about which fields are set, so a point is valid iff each of
-    its values is; an invalid value is derived as the base's value and its
-    points are masked.  Model axes replace fields after the derivation, and
-    :meth:`ModelBatch.valid` masks the points that break a
-    :class:`ModelParams` rule before or after that, as :func:`model_params`
-    and ``replace`` would reject them.  Entries of the batch at points with an
-    error are meaningless.
-
-    Raises
-    ------
-    BecMirrorError
-        If the assembly fails for the grid as a whole.
+    Every :class:`PhysicalInput` rule is about one field or about which
+    fields are set, so a point is valid iff each of its physical axis values
+    is, by :meth:`PhysicalInput.admits`; an invalid value is derived as the
+    base's value and its points are masked.  Model axes replace fields after
+    the derivation, and :meth:`ModelBatch.valid` masks the points that break
+    a :class:`ModelParams` rule before or after that, as :func:`model_params`
+    and ``replace`` would reject them; a cavity decay that derives to 0 (2 F L
+    overflowing) is one of those.  Entries of the batch at invalid points are
+    meaningless.
     """
     size = len(next(iter(columns.values())))
-    status: list[str | None] = [None] * size
+    valid = np.ones(size, dtype=bool)
     physical: dict[str, np.ndarray] = {}
     bare: dict[str, np.ndarray] = {}
     model: dict[str, np.ndarray] = {}
@@ -228,14 +219,11 @@ def _grid_models(
         elif name in _MODEL_FIELDS:
             model[name] = column
         else:
-            values, inverse = np.unique(column, return_inverse=True)
-            errors = [_error_status(replace, base, **{name: v}) for v in values.tolist()]
-            status = [s or errors[k] for s, k in zip(status, inverse.tolist())]
-            # A field the base leaves unset takes no valid value, so every
-            # value of such an axis is invalid and the field stays unset.
-            valid = np.array([error is None for error in errors])[inverse]
-            if valid.any():
-                physical[name] = np.where(valid, column, getattr(base, name))
+            admitted = base.admits(name, column)
+            valid &= admitted
+            # A field the base leaves unset admits no value and stays unset.
+            if admitted.any():
+                physical[name] = np.where(admitted, column, getattr(base, name))
     inp = base
     if physical:
         inp = SimpleNamespace(**{
@@ -243,40 +231,14 @@ def _grid_models(
         })
     with np.errstate(**_QUIET):
         derived = derive_parameters(inp)
-        if bare:
-            derived = replace(derived, **bare)
+        # An array kappa keeps the mean-field step from refusing the grid.
+        derived = replace(derived, kappa=np.broadcast_to(derived.kappa, size), **bare)
         batch = ModelBatch.from_derived(derived, size, model.pop("detuning", None))
-        valid = batch.valid()
+        valid &= batch.valid()
         if model:
             batch = replace(batch, **model)
             valid &= batch.valid()
-    invalid = f"error:{ValidationError.__name__}"
-    return batch, [s or (None if ok else invalid) for s, ok in zip(status, valid.tolist())]
-
-
-def _grid_models_or_split(
-    base: PhysicalInput, columns: dict[str, np.ndarray]
-) -> tuple[ModelBatch, list[str | None]]:
-    """:func:`_grid_models`, falling back to halves of the grid when the
-    assembly fails as a whole, so that only the failing points carry the
-    error."""
-    try:
-        return _grid_models(base, columns)
-    except BecMirrorError as exc:
-        size = len(next(iter(columns.values())))
-        if size == 1:
-            failed = np.full(1, np.nan)
-            return ModelBatch(**dict.fromkeys(_MODEL_FIELDS, failed)), [
-                f"error:{type(exc).__name__}"
-            ]
-        parts = [
-            _grid_models_or_split(base, {name: c[part] for name, c in columns.items()})
-            for part in (slice(None, size // 2), slice(size // 2, None))
-        ]
-    batch = ModelBatch(**{
-        name: np.concatenate([getattr(b, name) for b, _ in parts]) for name in _MODEL_FIELDS
-    })
-    return batch, parts[0][1] + parts[1][1]
+    return batch, valid
 
 
 def _drift_ids(batch: ModelBatch) -> np.ndarray:
@@ -302,10 +264,12 @@ def _evaluate(batch: ModelBatch, group: np.ndarray, cells: list[dict],
     from 0 with no gaps; models with one index must have bitwise-equal drift
     fields.  The drift-only work runs once per index, on its first model.
 
-    Raises
-    ------
-    BecMirrorError
-        When a stacked call fails for the block as a whole.
+    A point that fails gets the error status of the stage where it fails
+    and keeps the cells of the stages before; no stage raises for the block.
+    Effective parameters out of float range fail their drift's points, a
+    diffusion or a covariance out of float range fails its point
+    (``error:ValidationError``), and so does a residual above the gate, a
+    singular Lyapunov system included (``error:NumericalError``).
     """
     first = np.searchsorted(group, np.arange(group[-1] + 1))
     shared = batch[first]
@@ -319,36 +283,48 @@ def _evaluate(batch: ModelBatch, group: np.ndarray, cells: list[dict],
     ):
         row.update(status="ok" if is_stable else "unstable", eigen_stable=is_stable,
                    spectral_abscissa=a, criterion_value=value, criterion_pass=ok)
+    solve = stable.copy()
     if include_effective:
-        effective = [
-            effective_parameters(G_mc, G_ac, detuning, kappa, om_m=om_m, om_a=om_a)
-            if detuning > 0 else None
-            for G_mc, G_ac, detuning, kappa, om_m, om_a in zip(
-                shared.G_mc.tolist(), shared.G_ac.tolist(), shared.detuning.tolist(),
-                shared.kappa.tolist(), shared.om_m.tolist(), shared.om_a.tolist(),
-            )
-        ]
+        updates = []
+        for g, (G_mc, G_ac, detuning, kappa, om_m, om_a) in enumerate(zip(
+            shared.G_mc.tolist(), shared.G_ac.tolist(), shared.detuning.tolist(),
+            shared.kappa.tolist(), shared.om_m.tolist(), shared.om_a.tolist(),
+        )):
+            update = {}
+            if detuning > 0:
+                try:
+                    eff = effective_parameters(G_mc, G_ac, detuning, kappa,
+                                               om_m=om_m, om_a=om_a)
+                except BecMirrorError as exc:
+                    solve[g] = False
+                    update = {"status": f"error:{type(exc).__name__}"}
+                else:
+                    update = dict(freq_shift_mirror=eff.freq_shift_mirror,
+                                  freq_shift_bec=eff.freq_shift_bec,
+                                  coupling_ma=eff.coupling_ma, adiabatic=eff.adiabatic)
+            updates.append(update)
         for row, g in zip(cells, group.tolist()):
-            eff = effective[g]
-            if eff is not None:
-                row.update(freq_shift_mirror=eff.freq_shift_mirror,
-                           freq_shift_bec=eff.freq_shift_bec,
-                           coupling_ma=eff.coupling_ma, adiabatic=eff.adiabatic)
-    index = np.flatnonzero(point_stable)
+            row.update(updates[g])
+    index = np.flatnonzero(solve[group])
     if index.size == 0:
         return
-    # Only stable drifts are solved for: an unstable one's operator can be
-    # singular (two eigenvalues summing to zero) and would fail the block.
-    stable_id = np.cumsum(stable) - 1
-    covs, residuals = steady_covariances(
-        drifts[stable], build_diffusion(batch)[index], stable_id[group[index]]
-    )
+    diffusions = build_diffusion(batch[index])
+    finite = np.isfinite(diffusions).all(axis=(-2, -1))
+    for i in index[~finite].tolist():
+        cells[i]["status"] = "error:ValidationError"
+    index, diffusions = index[finite], diffusions[finite]
+    # An unstable drift has no stationary covariance, so it is not solved
+    # for (and its operator can be singular: two eigenvalues summing to 0).
+    solve_id = np.cumsum(solve) - 1
+    covs, residuals = steady_covariances(drifts[solve], diffusions, solve_id[group[index]])
     passed = residuals <= RESIDUAL_TOL
+    finite = np.isfinite(covs).all(axis=(-2, -1))
     results = iter(entanglement_results(reduce_to_modes(covs[passed]).cov))
-    for i, rel, gate in zip(index.tolist(), residuals.tolist(), passed.tolist()):
+    for i, rel, gate, ok in zip(index.tolist(), residuals.tolist(), passed.tolist(),
+                                finite.tolist()):
         row = cells[i]
         if not gate:
-            row["status"] = "error:NumericalError"
+            row["status"] = "error:NumericalError" if ok else "error:ValidationError"
             continue
         row["residual"] = rel
         result = next(results)
@@ -358,21 +334,6 @@ def _evaluate(batch: ModelBatch, group: np.ndarray, cells: list[dict],
         row.update(nu_minus=result.nu_minus, nu_plus=result.nu_plus,
                    log_negativity=result.log_negativity, sigma=result.sigma,
                    det_cov=result.det_cov)
-
-
-def _evaluate_or_split(batch: ModelBatch, group: np.ndarray, cells: list[dict],
-                       include_effective: bool) -> None:
-    """:func:`_evaluate`, falling back to one point at a time when the block
-    fails, so that only the failing point carries the error."""
-    try:
-        _evaluate(batch, group, cells, include_effective)
-    except BecMirrorError as exc:
-        if len(cells) == 1:
-            cells[0]["status"] = f"error:{type(exc).__name__}"
-            return
-        alone = np.zeros(1, dtype=np.intp)
-        for i, row in enumerate(cells):
-            _evaluate_or_split(batch[i : i + 1], alone, [row], include_effective)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -392,13 +353,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for column in np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
     ]
     points = list(zip(*(column.tolist() for column in columns)))
-    batch, status = _grid_models_or_split(spec.base, dict(zip(axis_names, columns)))
+    batch, valid = _grid_models(spec.base, dict(zip(axis_names, columns)))
 
     names = _MEASURE_COLUMNS + (_EFFECTIVE_COLUMNS if spec.include_effective else ())
     cells = [dict.fromkeys(names) for _ in points]
-    for row, error in zip(cells, status):
-        row["status"] = error
-    index = np.flatnonzero([error is None for error in status])
+    for i in np.flatnonzero(~valid).tolist():
+        cells[i]["status"] = "error:ValidationError"
+    index = np.flatnonzero(valid)
     ids = _drift_ids(batch[index])
     order = np.argsort(ids, kind="stable")
     index, ids = index[order], ids[order]
@@ -406,8 +367,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for start in range(0, index.size, BLOCK_POINTS):
             block = index[start : start + BLOCK_POINTS]
             group = ids[start : start + BLOCK_POINTS]
-            _evaluate_or_split(batch[block], group - group[0],
-                               [cells[i] for i in block.tolist()], spec.include_effective)
+            _evaluate(batch[block], group - group[0], [cells[i] for i in block.tolist()],
+                      spec.include_effective)
 
     provenance = {
         "schema_version": SCHEMA_VERSION,

@@ -74,13 +74,29 @@ class TestStackedSolver:
             gap = np.linalg.norm(covs[i] - reference) / np.linalg.norm(reference)
             assert gap <= 1e-9
 
-    def test_singular_member_fails_the_whole_stack(self):
-        # M = 0 makes the Lyapunov operator vanish.
-        drifts = np.stack([-np.eye(6), np.zeros((6, 6))])
-        with pytest.raises(NumericalError, match="singular"):
-            steady_covariances(drifts, np.stack([np.eye(6), np.eye(6)]))
+    @staticmethod
+    def assert_neighbours_match_single_calls(drifts, diffusions, group, singular):
+        """The singular drift's points get residual inf; every other point
+        equals its K = N = 1 call bit for bit."""
+        covs, rel = steady_covariances(drifts, diffusions, group)
+        for i, (g, diffusion) in enumerate(zip(group, diffusions)):
+            if g == singular:
+                assert rel[i] == np.inf
+                continue
+            single, single_rel = steady_covariances(drifts[g][None], diffusion[None])
+            np.testing.assert_array_equal(covs[i], single[0])
+            assert rel[i] == single_rel[0] <= RESIDUAL_TOL
 
-    def test_member_with_opposite_eigenvalue_pair_is_refused(self):
+    def test_singular_member_gets_infinite_residual(self):
+        # M = 0 makes the Lyapunov operator vanish.
+        drift, diffusion = random_stable_system(np.random.default_rng(7))
+        drifts = np.stack([-np.eye(6), np.zeros((6, 6)), drift])
+        diffusions = np.stack([np.eye(6), np.eye(6), diffusion])
+        self.assert_neighbours_match_single_calls(drifts, diffusions, np.arange(3), 1)
+        with pytest.raises(NumericalError, match="singular"):
+            solve_steady_covariance(np.zeros((6, 6)), np.eye(6), check_stability=False)
+
+    def test_member_with_opposite_eigenvalue_pair_gets_infinite_residual(self):
         # The rotation block has eigenvalues +-i: lambda_i + lambda_j = 0 for
         # i != j makes the operator singular although M itself is not.
         rotation = np.zeros((6, 6))
@@ -88,9 +104,8 @@ class TestStackedSolver:
         rotation[4:, 4:] = [[0.0, 1.0], [-1.0, 0.0]]
         drift, diffusion = random_stable_system(np.random.default_rng(8))
         drifts = np.stack([drift, rotation])
-        diffusions = np.stack([diffusion, np.eye(6), diffusion])
-        with pytest.raises(NumericalError, match="singular"):
-            steady_covariances(drifts, diffusions, np.array([0, 1, 0]))
+        diffusions = np.stack([diffusion, np.eye(6), 2.0 * diffusion])
+        self.assert_neighbours_match_single_calls(drifts, diffusions, np.array([0, 1, 0]), 1)
 
 
 class TestSolver:

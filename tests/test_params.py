@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from becmirror import (
     DerivedParams,
+    PhysicalInput,
     ValidationError,
     derive_parameters,
     self_consistent_detuning,
@@ -63,6 +64,24 @@ class TestPhysicalInputValidation:
     def test_negative_detuning_allowed(self):
         inp = reference_input(effective_detuning=-1e6)
         assert derive_parameters(inp).detuning == -1e6
+
+    @pytest.mark.parametrize("field", PhysicalInput.field_names())
+    def test_admits_the_values_the_constructor_accepts(self, field):
+        # The sweep masks axis values by admits(); each must agree with
+        # building the input with that value, for either side of a pair.
+        values = [0.0, -0.0, -1.0, 5e-324, 1.0, 1e308, math.inf, -math.inf, math.nan]
+        for base in (reference_input(),
+                     reference_input(bec_coupling=None, lattice_depth=10.0, atom_number=1e4,
+                                     bec_frequency=None, recoil_frequency=1e5)):
+            accepted = []
+            for value in values:
+                try:
+                    replace(base, **{field: value})
+                except ValidationError:
+                    accepted.append(False)
+                else:
+                    accepted.append(True)
+            assert base.admits(field, np.array(values)).tolist() == accepted
 
 
 class TestDeriveParameters:
@@ -204,6 +223,7 @@ def _bistable_derived() -> DerivedParams:
         om_a=1.0,
         gamma=0.0,
         n_th=0.0,
+        detuning=0.0,
     )
 
 
@@ -252,6 +272,7 @@ class TestSelfConsistentDetuning:
                 om_a=1.0,
                 gamma=float(rng.uniform(0.0, 0.2)),
                 n_th=0.0,
+                detuning=0.0,
             )
             bare = float(rng.uniform(-2.0, 8.0))
             beta = (

@@ -1,11 +1,13 @@
+import json
 import math
 import random
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from becmirror import (
@@ -25,9 +27,10 @@ from becmirror import (
     solve_steady_covariance,
 )
 from becmirror import sweep
-from becmirror.cli import _parse_axis, load_config
+from becmirror.cli import _parse_axis, load_config, main
 from becmirror.dynamics import eigen_stability
 from becmirror.errors import BecMirrorError
+from becmirror.lyapunov import steady_covariances
 from becmirror.sweep import BLOCK_POINTS, SweepResult, SweepRow, _grid_models
 
 from support import TWO_PI, reference_emit, reference_input
@@ -89,6 +92,30 @@ def _sweep_results(draw) -> SweepResult:
         provenance={"schema_version": 1, "config_hash": "0123abcd",
                     "constants_version": "codata-2018", "package_version": "0.1.0"},
     )
+
+
+#: axes of the robustness property: physical inputs, a bare coupling and
+#: model fields
+_EXTREME_AXES = ("temperature", "finesse", "cavity_length", "n_th", "detuning", "g_mc",
+                 "G_ac", "bec_coupling")
+#: axis bounds: signed zeros, negatives and the edges of the float range
+_EXTREME_VALUES = (0.0, -0.0, -1.0, -1e308, 1e-300, 1e300, 1e308)
+
+
+@st.composite
+def _extreme_specs(draw) -> SweepSpec:
+    """Sweeps of 1 or 2 axes of up to 6 points between extreme bounds."""
+    names = draw(st.lists(st.sampled_from(_EXTREME_AXES), min_size=1, max_size=2,
+                          unique=True))
+    axes = []
+    for name in names:
+        start = draw(st.sampled_from(_EXTREME_VALUES))
+        stop = draw(st.sampled_from(_EXTREME_VALUES))
+        assume(math.isfinite(stop - start))
+        axes.append(AxisSpec(name=name, start=start, stop=stop,
+                             points=draw(st.integers(1, 6))))
+    return SweepSpec(base=reference_input(), axes=tuple(axes),
+                     include_effective=draw(st.booleans()))
 
 
 def single_point_row(spec: SweepSpec, values: tuple[float, ...]):
@@ -171,6 +198,18 @@ class TestSweepSpec:
         with pytest.raises(ValidationError, match="axes"):
             SweepSpec(base=reference_input(), axes=axes)
 
+    def test_rejects_repeated_axis_names(self, capsys):
+        # A grid keyed by axis name would keep only the second g_mc axis.
+        axes = (AxisSpec(name="g_mc", start=10.0, stop=100.0, points=2),
+                AxisSpec(name="g_mc", start=50.0, stop=60.0, points=2))
+        with pytest.raises(ValidationError, match="distinct"):
+            SweepSpec(base=reference_input(), axes=axes)
+        code = main(["sweep", "--config", str(CONFIGS / "canonical.json"),
+                     "--axis", "g_mc:10:100:2", "--axis", "g_mc:50:60:2", "--out", "-"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "distinct" in captured.err
+
 
 class TestRunSweep:
     def test_degenerate_single_point_matches_direct_pipeline(self):
@@ -238,17 +277,23 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert all(row.cells["status"] in ("ok", "unstable") for row in result.rows)
 
-    def test_missing_effective_detuning_is_reported_per_point(self):
-        base = reference_input(effective_detuning=None, bare_detuning=TWO_PI * 2e6)
-        spec = SweepSpec(
-            base=base,
-            axes=(AxisSpec(name="temperature", start=-1e-6, stop=1e-5, points=3),),
-        )
-        result = run_sweep(spec)
-        assert all(
-            row.cells["status"] == "error:ValidationError" for row in result.rows
-        )
-        assert_rows_match_single_point_sweeps(spec, result)
+    def test_missing_effective_detuning_is_refused_before_the_sweep(self, tmp_path,
+                                                                     capsys):
+        # The effective detuning is a required input: a configuration without
+        # one is refused as a whole, and a bare detuning is no input at all.
+        with pytest.raises(ValidationError, match="effective_detuning"):
+            reference_input(effective_detuning=None)
+        raw = json.loads((CONFIGS / "demo.json").read_text())
+        detuning = raw.pop("effective_detuning")
+        for extra, message in (({}, "effective_detuning"),
+                               ({"bare_detuning": detuning}, "unknown config keys")):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**raw, **extra}))
+            code = main(["sweep", "--config", str(path),
+                         "--axis", "temperature:-1e-6:1e-5:3", "--out", "-"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error:") and message in captured.err
 
     def test_point_evaluation_is_order_independent(self):
         spec = small_spec()
@@ -275,9 +320,10 @@ class TestRunSweep:
         for row in result.rows:
             assert single_point_row(spec, row.axis_values) == row
 
-    def test_failing_point_leaves_its_block_neighbours_untouched(self):
-        # n_th = 1e308 overflows the mirror's diffusion entry to inf, which
-        # fails the stacked Lyapunov call of the whole block.
+    def test_failing_point_leaves_its_block_neighbours_untouched(self, monkeypatch):
+        # n_th = 1e308 overflows the mirror's diffusion entry to inf; the
+        # point is masked before the stacked Lyapunov call of its block, and
+        # keeps the drift cells it shares with the n_th = 0 points.
         spec = SweepSpec(
             base=reference_input(),
             axes=(
@@ -285,18 +331,26 @@ class TestRunSweep:
                 AxisSpec(name="g_mc", start=20.0, stop=120.0, points=6),
             ),
         )
-        with np.errstate(over="ignore"):
-            result = run_sweep(spec)
-            singles = [single_point_row(spec, row.axis_values) for row in result.rows]
+        evaluate, blocks = sweep._evaluate, []
+
+        def counting(batch, *args):
+            blocks.append(len(batch.om_m))
+            return evaluate(batch, *args)
+
+        monkeypatch.setattr(sweep, "_evaluate", counting)
+        result = run_sweep(spec)
+        assert blocks == [12]  # one call for the one block: no block runs twice
+        monkeypatch.undo()
         statuses = [row.cells["status"] for row in result.rows]
         assert statuses == ["ok"] * 6 + ["error:ValidationError"] * 6
-        assert list(result.rows) == singles
+        assert list(result.rows) == [single_point_row(spec, row.axis_values)
+                                     for row in result.rows]
         assert all(row.cells["eigen_stable"] for row in result.rows)
 
     def test_overflowed_point_fails_alone_in_the_grid_assembly(self):
-        # 2 F overflows at finesse 1e308, so kappa derives to 0 there and the
-        # mean-field step refuses the assembly of the whole grid; the points
-        # at finesse 1e4 must keep their rows.
+        # 2 F overflows at finesse 1e308, so kappa derives to 0 there, and the
+        # grid assembly masks those points as ModelParams refuses kappa = 0;
+        # the points at finesse 1e4 keep their rows.
         spec = SweepSpec(
             base=reference_input(),
             axes=(
@@ -309,6 +363,15 @@ class TestRunSweep:
         assert statuses[2:] == ["error:ValidationError"] * 2
         assert not any(status.startswith("error") for status in statuses[:2])
         assert_rows_match_single_point_sweeps(spec, result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_extreme_specs())
+    def test_extreme_axes_fail_point_by_point(self, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_sweep(spec)
+            assert_rows_match_single_point_sweeps(spec, result)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_larger_symplectic_eigenvalue_diagnostic(self):
         # nu_plus is emitted per row so its claimed separation from the 1/2
@@ -384,22 +447,22 @@ class TestGridAssembly:
         spec = SweepSpec(base=reference_input(), axes=self.SPECS[name])
         grids = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
         columns = {axis.name: grid.ravel() for axis, grid in zip(spec.axes, grids)}
-        batch, status = _grid_models(spec.base, columns)
+        batch, valid = _grid_models(spec.base, columns)
         points = list(zip(*(column.tolist() for column in columns.values())))
         for i, values in enumerate(points):
             try:
                 expected = self.scalar_model(spec, values)
-            except BecMirrorError as exc:
-                assert status[i] == f"error:{type(exc).__name__}"
+            except ValidationError:
+                assert not valid[i]
                 continue
-            assert status[i] is None
+            assert valid[i]
             for field in ModelParams.field_names():
                 got, want = getattr(batch, field)[i], getattr(expected, field)
                 if field == "n_th":
                     assert abs(got - want) <= np.spacing(want)
                 else:
                     assert got == want, field
-        assert 0 < status.count(None) < len(status)
+        assert 0 < valid.sum() < valid.size
 
     def test_zero_and_ultracold_temperatures_give_no_thermal_occupation(self):
         spec = SweepSpec(
@@ -407,8 +470,8 @@ class TestGridAssembly:
             axes=(AxisSpec(name="temperature", start=0.0, stop=1e-9, points=2),),
         )
         columns = {"temperature": spec.axes[0].values()}
-        batch, status = _grid_models(spec.base, columns)
-        assert status == [None, None]
+        batch, valid = _grid_models(spec.base, columns)
+        assert valid.tolist() == [True, True]
         assert batch.n_th.tolist() == [0.0, 0.0]
 
     def test_model_axes_do_not_hide_an_invalid_derivation(self):
@@ -497,12 +560,21 @@ class TestDriftSharing:
         )
 
     def test_unstable_drift_is_not_solved_for(self, monkeypatch):
-        # Solving for the singular drift would fail the block, and the
-        # one-point fallback would check stability again point by point.
+        # The unstable drift's operator is singular: solving for it would
+        # only fail its points' residual gate.  Stability runs once per
+        # drift, and the solver sees the two stable drifts alone.
         counts = count_drifts(monkeypatch)
+        solved = []
+
+        def recording(drifts, *args):
+            solved.append(len(drifts))
+            return steady_covariances(drifts, *args)
+
+        monkeypatch.setattr(sweep, "steady_covariances", recording)
         result = run_sweep(self.coupling_spec())
         assert [row.cells["status"] for row in result.rows] == ["unstable", "ok", "ok"] * 3
         assert sum(counts) == 3
+        assert solved == [2]
 
     def test_singular_drift_fails_only_its_points(self, monkeypatch):
         # Declaring every drift stable sends the singular one to the solver
