@@ -445,10 +445,22 @@ def reconstruct_correlations(
 
     Equal-time products of the records are linear in the ten unique entries
     of the reduced covariance matrix through the known (time-dependent) gain
-    map, so a least-squares inversion recovers them.  The inversion runs per
-    trajectory and the final estimate and standard errors come from the
-    scatter of the per-trajectory solutions, which are independent by
-    construction.
+    map: stacking every record pair's products gives targets y ~ A x with a
+    design A of (record pairs x kept times) rows and ten columns.  With A
+    scaled by its largest |entry| c, the normal equations
+    (A^T A / c^2) x = A^T y / c^2 are a 10 x 10 system, solved for every
+    trajectory at once; the tall design itself is never factorized.  The
+    final estimate and standard errors come from the scatter of the
+    per-trajectory solutions, which are independent by construction.
+
+    An entry is identifiable when the scaled Gram matrix A^T A / c^2 has no
+    eigenvalue at or below 1e-10 of its largest.  The threshold is relative,
+    so it does not depend on the probe couplings (A scales as
+    (G / kappa1)^2), and an exact dependency stays far below it: the Gram's
+    rounding is at most about rows * 1.1e-16 (the unit roundoff) of the
+    largest eigenvalue, 4e-12 at the 33,270 rows homodyne-sim builds.  The
+    entries reported as unidentifiable are those with a component above
+    1e-8 in an eigenvector of such an eigenvalue.
 
     Parameters
     ----------
@@ -476,8 +488,9 @@ def reconstruct_correlations(
     ValidationError
         If fewer than two trajectories are supplied, configurations are
         inconsistent across trajectories, noise seeds collide, or the
-        configuration set leaves covariance entries unidentifiable (the
-        message lists them).
+        configuration set leaves covariance entries unidentifiable by the
+        eigenvalue test above (the message lists them; probes that all have
+        ``G_ac1 = 0``, for instance, leave every entry with q_a or p_a).
     """
     if len(record_sets) < 2:
         raise ValidationError("need records from >= 2 independent trajectories")
@@ -525,18 +538,21 @@ def reconstruct_correlations(
                     coeff[:, col] = wi[p] * wj[q] + wi[q] * wj[p]
             rows.append(coeff)
     design = np.vstack(rows)
+    # The design scales as coupling^2 / kappa1^2; dividing by its largest
+    # entry makes the test below and the Gram's range independent of that.
+    # An all-zero design (uncoupled probes) keeps scale 1 and is refused.
+    scale = float(np.abs(design).max()) or 1.0
+    design = design / scale
+    gram = design.T @ design
 
-    rank = np.linalg.matrix_rank(
-        design, tol=1e-10 * max(1.0, float(np.abs(design).max()))
-    )
-    if rank < len(_UNIQUE_ENTRIES):
-        _, _, vt = np.linalg.svd(design)
-        null = vt[rank:]
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    null = eigenvalues <= 1e-10 * eigenvalues[-1]
+    if null.any():
         missing = sorted(
             {
                 _entry_label(*_UNIQUE_ENTRIES[col])
-                for row in null
-                for col in np.nonzero(np.abs(row) > 1e-8)[0]
+                for vector in eigenvectors[:, null].T
+                for col in np.nonzero(np.abs(vector) > 1e-8)[0]
             }
         )
         raise ValidationError(
@@ -544,20 +560,20 @@ def reconstruct_correlations(
             + ", ".join(missing)
             + "; add local-oscillator phases or coupling configurations"
         )
-    pinv = np.linalg.pinv(design)
 
-    solutions = []
-    for records in record_sets:
-        values = np.stack([rec.values[t_idx] for rec in records])
-        targets = []
-        for i in range(n_cfg):
-            for j in range(i, n_cfg):
-                products = values[i] * values[j]
-                if i == j:
-                    products = products - noise_variance
-                targets.append(products)
-        solutions.append(pinv @ np.concatenate(targets))
-    stack = np.stack(solutions)
+    values = np.array(
+        [[rec.values[t_idx] for rec in records] for records in record_sets]
+    )  # (trajectory, configuration, kept time)
+    targets = []
+    for i in range(n_cfg):
+        for j in range(i, n_cfg):
+            products = values[:, i] * values[:, j]
+            if i == j:
+                products = products - noise_variance
+            targets.append(products)
+    # One column per trajectory, its rows in the design's order.
+    targets = np.concatenate(targets, axis=1).T
+    stack = (np.linalg.solve(gram, design.T @ targets) / scale).T
     mean = stack.mean(axis=0)
     sem = stack.std(axis=0, ddof=1) / math.sqrt(len(record_sets))
 

@@ -311,6 +311,18 @@ class TestStochasticCommands:
         header = dumps[0].read_text().splitlines()[0]
         assert header == "t,q_m,p_m,q_a,p_a,q_c,p_c"
 
+    def test_homodyne_sim_weak_probe_coupling(self, capsys):
+        # A weak probe makes the least-squares design tiny (~1e-14), not
+        # rank-deficient: every covariance entry is reconstructed.
+        code, out, err = run_cli(
+            capsys, "homodyne-sim", "--config", str(CONFIGS / "demo.json"),
+            "--trajectories", "2", "--horizon", "1e-4", "--probe-coupling", "0.1",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert np.all(np.isfinite(doc["reconstructed"]))
+        assert np.all(np.isfinite(doc["stderr"]))
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):

@@ -9,6 +9,7 @@ from becmirror import (
     HomodyneRecord,
     NumericalError,
     ProbeCavity,
+    QUADRATURES,
     StabilityError,
     ValidationError,
     build_diffusion,
@@ -52,11 +53,17 @@ def relaxation_ensemble(entangled_system):
     )
 
 
-@pytest.fixture(scope="module")
-def probe_configs():
-    mirror = ProbeCavity(0.05, 1.0, 0.08, 0.0)
-    bec = ProbeCavity(0.05, 1.0, 0.0, 0.08)
-    both = ProbeCavity(0.05, 1.0, 0.08, 0.08)
+#: mechanical frequency of configs/demo.json, in s^-1
+DEMO_OM_M = 2.0 * math.pi * 1e6
+#: homodyne-sim's record interval on configs/demo.json: 40 samples per period
+DEMO_DT = 2.0 * math.pi / (40.0 * DEMO_OM_M)
+
+
+def five_probe_configs(kappa1, detuning1, coupling):
+    """Mirror, condensate and joint probes at the phases homodyne-sim uses."""
+    mirror = ProbeCavity(kappa1, detuning1, coupling, 0.0)
+    bec = ProbeCavity(kappa1, detuning1, 0.0, coupling)
+    both = ProbeCavity(kappa1, detuning1, coupling, coupling)
     return [
         (mirror, 0.0),
         (mirror, math.pi / 2.0),
@@ -64,6 +71,11 @@ def probe_configs():
         (bec, math.pi / 2.0),
         (both, math.pi / 4.0),
     ]
+
+
+@pytest.fixture(scope="module")
+def probe_configs():
+    return five_probe_configs(0.05, 1.0, 0.08)
 
 
 @pytest.fixture(scope="module")
@@ -419,8 +431,20 @@ def _constant_record_sets(states, configs, times, dt, noise_seed_base=None):
 
 
 class TestReconstructCorrelations:
-    def test_noiseless_synthetic_exact_recovery(self, probe_configs):
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize(
+        "kappa1, detuning1, coupling, times, max_times",
+        [
+            (0.05, 1.0, 0.08, np.linspace(0.0, 40.0, 300), 2000),
+            # homodyne-sim's probes on configs/demo.json at a weak coupling:
+            # the design's entries are ~1e-14, so identifiability must not
+            # hang on an absolute tolerance.
+            (DEMO_OM_M / 20.0, DEMO_OM_M, 0.1, DEMO_DT * np.arange(400), 200),
+        ],
+        ids=["unit_probe", "weak_demo_probe"],
+    )
+    def test_noiseless_synthetic_exact_recovery(
+        self, kappa1, detuning1, coupling, times, max_times
+    ):
         target = np.array(
             [
                 [0.9, 0.1, 0.2, -0.1],
@@ -433,9 +457,11 @@ class TestReconstructCorrelations:
         # Eight deterministic states whose empirical second moment is exactly
         # the target: +-2 L e_i.
         states = [sign * 2.0 * root[:, i] for i in range(4) for sign in (1.0, -1.0)]
-        times = np.linspace(0.0, 40.0, 300)
-        sets = _constant_record_sets(states, probe_configs, times, dt=0.1)
-        estimate, stderr = reconstruct_correlations(sets, noise_variance=0.0)
+        configs = five_probe_configs(kappa1, detuning1, coupling)
+        sets = _constant_record_sets(states, configs, times, dt=times[1] - times[0])
+        estimate, stderr = reconstruct_correlations(
+            sets, noise_variance=0.0, max_times=max_times
+        )
         np.testing.assert_allclose(estimate, target, atol=1e-8)
 
     def test_vacuum_records_recover_half_identity(self, probe_configs):
@@ -475,14 +501,110 @@ class TestReconstructCorrelations:
         assert negativity_true > 0.0
         assert abs(negativity_est - negativity_true) <= 3.0 * sigma
 
-    def test_rank_deficient_configuration_reported(self):
-        probe = ProbeCavity(0.05, 1.0, 0.08, 0.0)
-        configs = [(probe, 0.0)]
+    @pytest.mark.parametrize(
+        "configs, times, identified",
+        [
+            # Mirror-only probes leave every entry with a condensate
+            # quadrature in it, and nothing else, unidentified.
+            (
+                [(ProbeCavity(0.05, 1.0, 0.08, 0.0), 0.0)],
+                np.linspace(0.0, 2.0, 40),
+                ["q_m*q_m", "q_m*p_m", "p_m*p_m"],
+            ),
+            # A design of 15 x 2000 rows: the refusal must not factorize it.
+            (
+                [
+                    (ProbeCavity(0.05, 1.0, 0.08 * (1 + k), 0.0), k * math.pi / 5.0)
+                    for k in range(5)
+                ],
+                np.linspace(0.0, 200.0, 2000),
+                ["q_m*q_m", "q_m*p_m", "p_m*p_m"],
+            ),
+            # Uncoupled probes give an all-zero design.
+            ([(ProbeCavity(0.05, 1.0, 0.0, 0.0), 0.0)], np.linspace(0.0, 2.0, 40), []),
+        ],
+        ids=["one_mirror_probe", "five_mirror_probes", "uncoupled_probe"],
+    )
+    def test_rank_deficient_configuration_reported(self, configs, times, identified):
         states = [np.ones(4), -np.ones(4)]
-        times = np.linspace(0.0, 2.0, 40)
-        sets = _constant_record_sets(states, configs, times, dt=0.05)
-        with pytest.raises(ValidationError, match="q_a"):
+        sets = _constant_record_sets(states, configs, times, dt=times[1] - times[0])
+        with pytest.raises(ValidationError) as error:
             reconstruct_correlations(sets, noise_variance=0.0)
+        listed = str(error.value).split(": ")[1].split(";")[0].split(", ")
+        assert listed == sorted(
+            label
+            for p in range(4)
+            for q in range(p, 4)
+            if (label := f"{QUADRATURES[p]}*{QUADRATURES[q]}") not in identified
+        )
+
+    def test_factorizes_nothing_taller_than_the_unknowns(self, monkeypatch):
+        # Ten unknowns need no factorization of the 33,270-row design that
+        # homodyne-sim builds; a tall SVD or QR there costs time and, on a
+        # refusal, a rows x rows matrix.
+        for name in ("svd", "pinv", "matrix_rank", "lstsq", "qr"):
+
+            def guarded(a, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                if np.ndim(a) >= 2 and np.shape(a)[-2] > 10:
+                    raise AssertionError(f"np.linalg.{_name} on shape {np.shape(a)}")
+                return _call(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, guarded)
+        state = np.array([1.0, -0.5, 0.25, 2.0])
+        times = DEMO_DT * np.arange(4436)
+        configs = five_probe_configs(DEMO_OM_M / 20.0, DEMO_OM_M, DEMO_OM_M / 400.0)
+        sets = _constant_record_sets([state, -state], configs, times, dt=DEMO_DT)
+        estimate, _ = reconstruct_correlations(sets, noise_variance=0.0)
+        np.testing.assert_allclose(estimate, np.outer(state, state), atol=1e-10)
+
+    def test_matches_per_trajectory_least_squares(self, stationary_record_sets):
+        first = stationary_record_sets[0]
+        weights = [
+            homodyne_weights(rec.probe, rec.phase, rec.rotation, rec.times)
+            for rec in first
+        ]
+        entries = [(p, q) for p in range(4) for q in range(p, 4)]
+        pairs = [(i, j) for i in range(len(first)) for j in range(i, len(first))]
+        design = np.vstack(
+            [
+                np.column_stack(
+                    [
+                        weights[i][p] * weights[j][q]
+                        + (weights[i][q] * weights[j][p] if p != q else 0.0)
+                        for p, q in entries
+                    ]
+                )
+                for i, j in pairs
+            ]
+        )
+        noise = 1.0 / (2.0 * first[0].dt)
+        solutions = np.array(
+            [
+                np.linalg.lstsq(
+                    design,
+                    np.concatenate(
+                        [
+                            records[i].values * records[j].values - (noise if i == j else 0.0)
+                            for i, j in pairs
+                        ]
+                    ),
+                    rcond=None,
+                )[0]
+                for records in stationary_record_sets
+            ]
+        )
+        mean = solutions.mean(axis=0)
+        sem = solutions.std(axis=0, ddof=1) / math.sqrt(len(solutions))
+
+        # The mean of an off-diagonal entry can cancel to 1e-4 of the
+        # solutions it averages, so it is held to their size.
+        size = np.abs(solutions).max(axis=0)
+
+        estimate, stderr = reconstruct_correlations(stationary_record_sets)
+        for col, (p, q) in enumerate(entries):
+            assert estimate[p, q] == estimate[q, p]
+            assert abs(estimate[p, q] - mean[col]) <= 1e-12 * size[col]
+            assert stderr[p, q] == pytest.approx(sem[col], rel=1e-12, abs=0.0)
 
     def test_requires_two_trajectories(self, probe_configs):
         times = np.linspace(0.0, 2.0, 20)
