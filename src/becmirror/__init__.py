@@ -35,7 +35,7 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from .lyapunov import integrate_covariance, residual, solve_steady_covariance
+from .lyapunov import residual, solve_steady_covariance
 from .params import (
     CavitySteadyState,
     DerivedParams,
@@ -96,7 +96,6 @@ __all__ = [
     "entanglement_result",
     "homodyne_output",
     "homodyne_weights",
-    "integrate_covariance",
     "logarithmic_negativity",
     "model_params",
     "parse_sweep",

@@ -1,4 +1,4 @@
-"""Steady-state Lyapunov solver and its matrix-ODE integration oracle.
+"""Steady-state Lyapunov solver.
 
 The stationary covariance of dR/dt = M R + F with symmetrized noise matrix D
 solves M V + V M^T = -D.  The operator V -> M V + V M^T maps symmetric
@@ -12,9 +12,6 @@ rather than an LU factorization solved for several right-hand sides: LAPACK's
 multi-right-hand-side solve does not give the bits of the same solve with one
 right-hand side, while an inverse and a stacked matrix-vector product do, so
 a point's covariance does not depend on which points share its drift.
-:func:`integrate_covariance` advances
-dV/dt = M V + V M^T + D with a classical fourth-order Runge-Kutta scheme and
-serves as an independent cross-check of the algebraic solution.
 """
 
 from __future__ import annotations
@@ -224,7 +221,10 @@ def solve_steady_covariance(
                 f"drift matrix is {kind} (spectral abscissa "
                 f"{report.spectral_abscissa:.6e}); no stationary covariance"
             )
-    covs, rel = steady_covariances(drift[None], diffusion[None])
+    # A covariance out of float range gives an inf or NaN residual, which the
+    # gate below refuses, as the sweep's does; its overflow is no warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        covs, rel = steady_covariances(drift[None], diffusion[None])
     if rel[0] == np.inf:
         raise NumericalError(
             "Lyapunov system is singular to working precision, or its solution overflows"
@@ -234,86 +234,3 @@ def solve_steady_covariance(
             f"Lyapunov residual {rel[0]:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}"
         )
     return covs[0]
-
-
-def integrate_covariance(
-    drift: np.ndarray,
-    diffusion: np.ndarray,
-    cov0: np.ndarray | None,
-    horizon: float,
-    dt: float | None = None,
-) -> np.ndarray:
-    """Integrate dV/dt = M V + V M^T + D to ``horizon`` with fixed-step RK4.
-
-    Parameters
-    ----------
-    drift, diffusion : numpy.ndarray
-        System matrices as in :func:`solve_steady_covariance`.
-    cov0 : numpy.ndarray or None
-        Initial covariance; ``None`` starts from zero.
-    horizon : float
-        Integration time; for a stable drift with spectral abscissa a,
-        horizons of at least 20/|a| reach the fixed point to within
-        O(exp(-2 |a| horizon)).
-    dt : float, optional
-        Step size, defaulting to 0.01/|a|.  The default suits systems whose
-        eigenvalue magnitudes do not spread far beyond |a|; stiff systems
-        need dt below roughly 2.8/max|eigenvalue| for RK4 stability.
-
-    Raises
-    ------
-    NumericalError
-        On norm blow-up, which indicates an unstable step size; the message
-        advises a smaller dt.
-    """
-    drift = _as_square(drift, "drift")
-    diffusion = _as_square(diffusion, "diffusion")
-    if horizon <= 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon!r}")
-    if dt is None:
-        abscissa = float(np.max(np.linalg.eigvals(drift).real))
-        if abscissa >= 0:
-            raise ValidationError(
-                "dt default requires a stable drift matrix; pass dt explicitly"
-            )
-        dt = 0.01 / abs(abscissa)
-    if dt <= 0:
-        raise ValidationError(f"dt must be > 0, got {dt!r}")
-    cov = np.zeros_like(drift) if cov0 is None else _as_square(cov0, "cov0").copy()
-    # The flow preserves symmetry, so V M^T = (M V)^T along the trajectory;
-    # symmetrizing the start lets each stage get away with one product.
-    cov = 0.5 * (cov + cov.T)
-    diffusion_sym = 0.5 * (diffusion + diffusion.T)
-
-    scale = max(np.linalg.norm(cov), np.linalg.norm(diffusion), 1.0)
-    blowup = 1e12 * scale
-    steps, remainder = divmod(horizon, dt)
-    steps = int(steps)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        half = drift @ v
-        return half + half.T + diffusion_sym
-
-    def rk4_step(v: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
-        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    check_every = 50
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            cov = rk4_step(cov, dt)
-            if step % check_every == 0 and not np.linalg.norm(cov) < blowup:
-                raise NumericalError(
-                    f"covariance norm blew up after {step + 1} steps at dt={dt:.3e}; "
-                    "use a smaller dt"
-                )
-        if remainder > 0.0:
-            cov = rk4_step(cov, remainder)
-    if not np.all(np.isfinite(cov)) or not np.linalg.norm(cov) < blowup:
-        raise NumericalError(
-            f"covariance norm blew up at dt={dt:.3e}; use a smaller dt"
-        )
-    return 0.5 * (cov + cov.T)

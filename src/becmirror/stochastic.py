@@ -487,10 +487,11 @@ def reconstruct_correlations(
     ------
     ValidationError
         If fewer than two trajectories are supplied, configurations are
-        inconsistent across trajectories, noise seeds collide, or the
-        configuration set leaves covariance entries unidentifiable by the
-        eigenvalue test above (the message lists them; probes that all have
-        ``G_ac1 = 0``, for instance, leave every entry with q_a or p_a).
+        inconsistent across trajectories, noise seeds collide, the probe
+        gains overflow the design's products, or the configuration set
+        leaves covariance entries unidentifiable by the eigenvalue test above
+        (the message lists them; probes that all have ``G_ac1 = 0``, for
+        instance, leave every entry with q_a or p_a).
     """
     if len(record_sets) < 2:
         raise ValidationError("need records from >= 2 independent trajectories")
@@ -522,22 +523,30 @@ def reconstruct_correlations(
     t_idx = np.arange(0, n_times, stride)
     times = first[0].times[t_idx]
 
-    weights = [
-        homodyne_weights(rec.probe, rec.phase, rec.rotation, times) for rec in first
-    ]
+    # A probe gain G / (2 kappa1) near the float range overflows the
+    # products of the weights; such a design is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = [
+            homodyne_weights(rec.probe, rec.phase, rec.rotation, times) for rec in first
+        ]
 
-    rows: list[np.ndarray] = []
-    for i in range(n_cfg):
-        for j in range(i, n_cfg):
-            wi, wj = weights[i], weights[j]
-            coeff = np.empty((len(t_idx), len(_UNIQUE_ENTRIES)))
-            for col, (p, q) in enumerate(_UNIQUE_ENTRIES):
-                if p == q:
-                    coeff[:, col] = wi[p] * wj[p]
-                else:
-                    coeff[:, col] = wi[p] * wj[q] + wi[q] * wj[p]
-            rows.append(coeff)
-    design = np.vstack(rows)
+        rows: list[np.ndarray] = []
+        for i in range(n_cfg):
+            for j in range(i, n_cfg):
+                wi, wj = weights[i], weights[j]
+                coeff = np.empty((len(t_idx), len(_UNIQUE_ENTRIES)))
+                for col, (p, q) in enumerate(_UNIQUE_ENTRIES):
+                    if p == q:
+                        coeff[:, col] = wi[p] * wj[p]
+                    else:
+                        coeff[:, col] = wi[p] * wj[q] + wi[q] * wj[p]
+                rows.append(coeff)
+        design = np.vstack(rows)
+    if not np.isfinite(design).all():
+        raise ValidationError(
+            "homodyne design leaves the float range: the probe gains G / (2 kappa1) "
+            "are too large"
+        )
     # The design scales as coupling^2 / kappa1^2; dividing by its largest
     # entry makes the test below and the Gram's range independent of that.
     # An all-zero design (uncoupled probes) keeps scale 1 and is refused.

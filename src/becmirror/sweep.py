@@ -8,14 +8,16 @@ numbers, when only coupling or model axes vary), and a per-point mask applies
 the validation rules of the single-point constructors.  Each valid point is
 then given the id of its drift: points whose drift-matrix parameters agree bit
 for bit share one (a temperature axis changes the diffusion only).  The valid
-points are evaluated in blocks of :data:`BLOCK_POINTS`, taken in drift-id
-order: each block runs the drift-only work (the drift, the stability check
-with its authoritative eigenvalue verdict, the product criterion and the
-effective parameters) once per distinct drift and copies it to the drift's
-points, and runs the diffusion-dependent work (the symmetric Lyapunov solve,
-with one operator inverse per distinct stable drift, and the entanglement
-measures) per point, through the same stacked code the single-point
-functions run at N = 1.  Unstable points are evaluations, not
+points are evaluated in two stages, in drift-id order.  The drift stage runs
+the drift-only work (the drift, the stability check with its authoritative
+eigenvalue verdict, the product criterion and the effective parameters) in one
+stacked call over every distinct drift of the grid and copies it to the
+drift's points.  The solve stage takes the points whose drift is stable and
+whose effective parameters did not fail, in blocks of :data:`BLOCK_POINTS`,
+and runs the diffusion-dependent work (the
+symmetric Lyapunov solve, with one operator inverse per distinct drift of the
+block, and the entanglement measures) per point.  Both run the stacked code
+the single-point functions run at N = 1.  Unstable points are evaluations, not
 failures: their rows carry an explicit ``unstable`` status and empty measure
 columns.  Every failure is a per-point mask, set at the stage where the
 point fails: the point's row carries ``error:<ErrorType>`` with the cells of
@@ -33,6 +35,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 from importlib import metadata
+from itertools import compress
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -53,12 +56,11 @@ from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters, f
 
 SCHEMA_VERSION = 1
 
-#: grid points evaluated together by the stacked layer calls; a block takes
-#: them in drift-id order, so its distinct drifts are a contiguous id range
-#: and points sharing a drift mostly share a block.  The block's per-point
-#: (N, 21, 21) Lyapunov inverses, (N, 6, 6) stacks and their temporaries stay
-#: well under 1 MB, while a whole-grid stack would raise the peak memory by
-#: tens of MB
+#: points of a solve-stage block, all of them with a stable drift; a block
+#: takes them in drift-id order, so points sharing a drift mostly share a
+#: block.  The block's (N, 21, 21) Lyapunov inverses, (N, 6, 6) stacks and
+#: their temporaries stay well under 1 MB, while a whole-grid stack would
+#: raise the peak memory by tens of MB
 BLOCK_POINTS = 64
 
 #: the :class:`ModelBatch` fields :func:`build_drift` reads; the product
@@ -256,37 +258,35 @@ def _drift_ids(batch: ModelBatch) -> np.ndarray:
     return rank[inverse]
 
 
-def _evaluate(batch: ModelBatch, group: np.ndarray, cells: list[dict],
-              include_effective: bool) -> None:
-    """Fill the row cells of a block of models through the stacked layer calls.
+def _drift_stage(shared: ModelBatch, ids: np.ndarray, cells: list[dict],
+                 include_effective: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Run the drift-only work once per distinct drift and fill the drift cells
+    of its points.
 
-    ``group`` holds each model's drift index within the block, nondecreasing
-    from 0 with no gaps; models with one index must have bitwise-equal drift
-    fields.  The drift-only work runs once per index, on its first model.
+    ``shared`` holds one model per drift id, ``ids`` each point's drift id and
+    ``cells`` the points' row cells in the same order.  One stacked call each
+    builds the drifts, checks their stability and evaluates the product
+    criterion; the effective parameters run per drift.  Effective parameters
+    out of float range fail their drift's points (``error:ValidationError``),
+    which keep their drift cells.
 
-    A point that fails gets the error status of the stage where it fails
-    and keeps the cells of the stages before; no stage raises for the block.
-    Effective parameters out of float range fail their drift's points, a
-    diffusion or a covariance out of float range fails its point
-    (``error:ValidationError``), and so does a residual above the gate, a
-    singular Lyapunov system included (``error:NumericalError``).
+    Returns the (K, 6, 6) drift stack and the mask of the drifts whose points
+    are solved for: stable ones with effective parameters, when asked for,
+    in float range.
     """
-    first = np.searchsorted(group, np.arange(group[-1] + 1))
-    shared = batch[first]
     drifts = build_drift(shared)
     _, abscissa, _, stable = eigen_stability(drifts)
     criterion, passes = check_stability_criterion(shared)
-    point_stable = stable[group]
     for row, is_stable, a, value, ok in zip(
-        cells, point_stable.tolist(), abscissa[group].tolist(), criterion[group].tolist(),
-        passes[group].tolist(),
+        cells, stable[ids].tolist(), abscissa[ids].tolist(), criterion[ids].tolist(),
+        passes[ids].tolist(),
     ):
         row.update(status="ok" if is_stable else "unstable", eigen_stable=is_stable,
                    spectral_abscissa=a, criterion_value=value, criterion_pass=ok)
     solve = stable.copy()
     if include_effective:
         updates = []
-        for g, (G_mc, G_ac, detuning, kappa, om_m, om_a) in enumerate(zip(
+        for k, (G_mc, G_ac, detuning, kappa, om_m, om_a) in enumerate(zip(
             shared.G_mc.tolist(), shared.G_ac.tolist(), shared.detuning.tolist(),
             shared.kappa.tolist(), shared.om_m.tolist(), shared.om_a.tolist(),
         )):
@@ -296,35 +296,43 @@ def _evaluate(batch: ModelBatch, group: np.ndarray, cells: list[dict],
                     eff = effective_parameters(G_mc, G_ac, detuning, kappa,
                                                om_m=om_m, om_a=om_a)
                 except BecMirrorError as exc:
-                    solve[g] = False
+                    solve[k] = False
                     update = {"status": f"error:{type(exc).__name__}"}
                 else:
                     update = dict(freq_shift_mirror=eff.freq_shift_mirror,
                                   freq_shift_bec=eff.freq_shift_bec,
                                   coupling_ma=eff.coupling_ma, adiabatic=eff.adiabatic)
             updates.append(update)
-        for row, g in zip(cells, group.tolist()):
-            row.update(updates[g])
-    index = np.flatnonzero(solve[group])
-    if index.size == 0:
-        return
-    diffusions = build_diffusion(batch[index])
+        for row, k in zip(cells, ids.tolist()):
+            row.update(updates[k])
+    return drifts, solve
+
+
+def _solve_block(batch: ModelBatch, ids: np.ndarray, drifts: np.ndarray,
+                 cells: list[dict]) -> None:
+    """Fill the measure cells of a block of points whose drifts are stable.
+
+    ``ids`` holds each point's index into ``drifts``, ``cells`` its row
+    cells.  A diffusion out of float range fails its point
+    (``error:ValidationError``), and so does a residual above the gate
+    (``error:NumericalError``), a covariance out of float range or a
+    singular Lyapunov system included, as in
+    :func:`~becmirror.lyapunov.solve_steady_covariance`.
+    """
+    diffusions = build_diffusion(batch)
     finite = np.isfinite(diffusions).all(axis=(-2, -1))
-    for i in index[~finite].tolist():
-        cells[i]["status"] = "error:ValidationError"
-    index, diffusions = index[finite], diffusions[finite]
-    # An unstable drift has no stationary covariance, so it is not solved
-    # for (and its operator can be singular: two eigenvalues summing to 0).
-    solve_id = np.cumsum(solve) - 1
-    covs, residuals = steady_covariances(drifts[solve], diffusions, solve_id[group[index]])
+    for row in compress(cells, (~finite).tolist()):
+        row["status"] = "error:ValidationError"
+    if not finite.any():
+        return
+    members, group = np.unique(ids[finite], return_inverse=True)
+    covs, residuals = steady_covariances(drifts[members], diffusions[finite], group)
     passed = residuals <= RESIDUAL_TOL
-    finite = np.isfinite(covs).all(axis=(-2, -1))
     results = iter(entanglement_results(reduce_to_modes(covs[passed]).cov))
-    for i, rel, gate, ok in zip(index.tolist(), residuals.tolist(), passed.tolist(),
-                                finite.tolist()):
-        row = cells[i]
+    for row, rel, gate in zip(compress(cells, finite.tolist()), residuals.tolist(),
+                              passed.tolist()):
         if not gate:
-            row["status"] = "error:NumericalError" if ok else "error:ValidationError"
+            row["status"] = "error:NumericalError"
             continue
         row["residual"] = rel
         result = next(results)
@@ -340,12 +348,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; its rows come in row-major order.
 
     The models of the whole grid are assembled at once and grouped by drift
-    once; the valid points are evaluated in blocks of :data:`BLOCK_POINTS` in
-    drift-id order, through the same stacked code whatever the grid size.  A
-    point's drift-only results come from bitwise-equal inputs, and its solve
-    from its drift's inverse, which is the same alone or stacked, so a
-    point's row does not depend on the block it falls in or on the points
-    that share its drift, and the output is deterministic.
+    once.  The drift stage checks every distinct drift of the valid points in
+    one stacked call; the solve stage runs the points of the stable drifts in
+    blocks of :data:`BLOCK_POINTS`, in drift-id order, through the same
+    stacked code whatever the grid size.  A point's drift-only results come
+    from bitwise-equal inputs, and its solve from its drift's inverse, which
+    is the same alone or stacked, so a point's row does not depend on the
+    block it falls in or on the points that share its drift, and the output
+    is deterministic.
     """
     axis_names = tuple(axis.name for axis in spec.axes)
     columns = [
@@ -363,12 +373,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ids = _drift_ids(batch[index])
     order = np.argsort(ids, kind="stable")
     index, ids = index[order], ids[order]
+    point_cells = [cells[i] for i in index.tolist()]
     with np.errstate(**_QUIET):
+        first = np.flatnonzero(np.diff(ids, prepend=-1))
+        drifts, solve = _drift_stage(batch[index[first]], ids, point_cells,
+                                     spec.include_effective)
+        keep = solve[ids]
+        index, ids = index[keep], ids[keep]
+        point_cells = list(compress(point_cells, keep.tolist()))
         for start in range(0, index.size, BLOCK_POINTS):
-            block = index[start : start + BLOCK_POINTS]
-            group = ids[start : start + BLOCK_POINTS]
-            _evaluate(batch[block], group - group[0], [cells[i] for i in block.tolist()],
-                      spec.include_effective)
+            block = slice(start, start + BLOCK_POINTS)
+            _solve_block(batch[index[block]], ids[block], drifts, point_cells[block])
 
     provenance = {
         "schema_version": SCHEMA_VERSION,

@@ -7,7 +7,13 @@ import json
 import numpy as np
 from scipy.linalg import expm
 
-from becmirror import ModelParams, PhysicalInput, SweepResult, ValidationError
+from becmirror import (
+    ModelParams,
+    NumericalError,
+    PhysicalInput,
+    SweepResult,
+    ValidationError,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,6 +170,92 @@ def routh_hurwitz_verdict(coeffs: np.ndarray) -> bool | None:
     if np.any(np.abs(column) < 1e-12 * scale):
         return None
     return bool(np.all(column > 0))
+
+
+def integrate_covariance(
+    drift: np.ndarray,
+    diffusion: np.ndarray,
+    cov0: np.ndarray | None,
+    horizon: float,
+    dt: float | None = None,
+) -> np.ndarray:
+    """Integrate dV/dt = M V + V M^T + D to ``horizon`` with fixed-step RK4.
+
+    The classical fourth-order Runge-Kutta oracle of the algebraic Lyapunov
+    solution: it shares no code with the solver.
+
+    Parameters
+    ----------
+    drift, diffusion : numpy.ndarray
+        System matrices as in :func:`becmirror.solve_steady_covariance`.
+    cov0 : numpy.ndarray or None
+        Initial covariance; ``None`` starts from zero.
+    horizon : float
+        Integration time; for a stable drift with spectral abscissa a,
+        horizons of at least 20/|a| reach the fixed point to within
+        O(exp(-2 |a| horizon)).
+    dt : float, optional
+        Step size, defaulting to 0.01/|a|.  The default suits systems whose
+        eigenvalue magnitudes do not spread far beyond |a|; stiff systems
+        need dt below roughly 2.8/max|eigenvalue| for RK4 stability.
+
+    Raises
+    ------
+    NumericalError
+        On norm blow-up, which indicates an unstable step size; the message
+        advises a smaller dt.
+    """
+    drift = np.asarray(drift, dtype=float)
+    diffusion = np.asarray(diffusion, dtype=float)
+    if horizon <= 0:
+        raise ValidationError(f"horizon must be > 0, got {horizon!r}")
+    if dt is None:
+        abscissa = float(np.max(np.linalg.eigvals(drift).real))
+        if abscissa >= 0:
+            raise ValidationError(
+                "dt default requires a stable drift matrix; pass dt explicitly"
+            )
+        dt = 0.01 / abs(abscissa)
+    if dt <= 0:
+        raise ValidationError(f"dt must be > 0, got {dt!r}")
+    cov = np.zeros_like(drift) if cov0 is None else np.array(cov0, dtype=float)
+    # The flow preserves symmetry, so V M^T = (M V)^T along the trajectory;
+    # symmetrizing the start lets each stage get away with one product.
+    cov = 0.5 * (cov + cov.T)
+    diffusion_sym = 0.5 * (diffusion + diffusion.T)
+
+    scale = max(np.linalg.norm(cov), np.linalg.norm(diffusion), 1.0)
+    blowup = 1e12 * scale
+    steps, remainder = divmod(horizon, dt)
+    steps = int(steps)
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        half = drift @ v
+        return half + half.T + diffusion_sym
+
+    def rk4_step(v: np.ndarray, h: float) -> np.ndarray:
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    check_every = 50
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            cov = rk4_step(cov, dt)
+            if step % check_every == 0 and not np.linalg.norm(cov) < blowup:
+                raise NumericalError(
+                    f"covariance norm blew up after {step + 1} steps at dt={dt:.3e}; "
+                    "use a smaller dt"
+                )
+        if remainder > 0.0:
+            cov = rk4_step(cov, remainder)
+    if not np.all(np.isfinite(cov)) or not np.linalg.norm(cov) < blowup:
+        raise NumericalError(
+            f"covariance norm blew up at dt={dt:.3e}; use a smaller dt"
+        )
+    return 0.5 * (cov + cov.T)
 
 
 def _format_cell(value) -> str:

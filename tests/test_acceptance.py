@@ -37,7 +37,6 @@ from becmirror import (
     derive_parameters,
     emit,
     ensemble_covariance,
-    integrate_covariance,
     logarithmic_negativity,
     model_params,
     reduce_to_modes,
@@ -54,6 +53,7 @@ from becmirror.sweep import BLOCK_POINTS
 from support import (
     TWO_PI,
     entangled_model,
+    integrate_covariance,
     pt_symplectic_oracle,
     random_physical_covariance,
     random_stable_system,

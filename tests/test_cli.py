@@ -139,6 +139,20 @@ class TestSimpleCommands:
         assert code == 0
         assert json.loads(out)["nu_minus"] > 0.0
 
+    def test_entangle_overflowing_covariance_reports_numerical_error(self, tmp_path,
+                                                                     capsys):
+        # At 1e296 K the Lyapunov residual overflows to NaN: the command
+        # reports the failed gate alone, with no floating-point warning.
+        raw = json.loads((CONFIGS / "demo.json").read_text())
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps({**raw, "temperature": 1e296}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "entangle", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: Lyapunov residual nan exceeds tolerance 1e-10\n"
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_effective(self, demo_config, capsys):
         code, out, err = run_cli(capsys, "effective", "--config", demo_config)
         assert code == 0

@@ -13,7 +13,6 @@ from becmirror import (
     build_diffusion,
     build_drift,
     derive_parameters,
-    integrate_covariance,
     model_params,
     residual,
     solve_steady_covariance,
@@ -25,6 +24,7 @@ from becmirror.lyapunov import RESIDUAL_TOL, steady_covariances
 from support import (
     TWO_PI,
     entangled_model,
+    integrate_covariance,
     mild_model,
     random_stable_system,
     reference_input,

@@ -606,6 +606,20 @@ class TestReconstructCorrelations:
             assert abs(estimate[p, q] - mean[col]) <= 1e-12 * size[col]
             assert stderr[p, q] == pytest.approx(sem[col], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("kappa1", [1e-300, 5e-324],
+                             ids=["products_overflow", "gains_overflow"])
+    def test_design_out_of_float_range_refused(self, kappa1):
+        # G / (2 kappa1) is 5e299 at kappa1 = 1e-300, so the products of the
+        # weights overflow; at 5e-324 the gain itself is inf.  Either design
+        # must be refused before its Gram matrix is formed.
+        configs = [(ProbeCavity(kappa1, 1.0, 1.0, 1.0), k * math.pi / 5.0) for k in range(5)]
+        times = np.linspace(0.0, 2.0, 40)
+        with np.errstate(over="ignore", invalid="ignore"):  # the synthetic records
+            sets = _constant_record_sets([np.ones(4), -np.ones(4)], configs, times,
+                                         dt=times[1] - times[0])
+        with pytest.raises(ValidationError, match="float range"):
+            reconstruct_correlations(sets, noise_variance=0.0)
+
     def test_requires_two_trajectories(self, probe_configs):
         times = np.linspace(0.0, 2.0, 20)
         sets = _constant_record_sets([np.ones(4)], probe_configs, times, dt=0.1)

@@ -14,6 +14,7 @@ from becmirror import (
     AxisSpec,
     ModelParams,
     SweepSpec,
+    NumericalError,
     ValidationError,
     build_diffusion,
     build_drift,
@@ -331,21 +332,49 @@ class TestRunSweep:
                 AxisSpec(name="g_mc", start=20.0, stop=120.0, points=6),
             ),
         )
-        evaluate, blocks = sweep._evaluate, []
+        counts, blocks, solved = count_drifts(monkeypatch), [], []
+        solve_block = sweep._solve_block
 
         def counting(batch, *args):
             blocks.append(len(batch.om_m))
-            return evaluate(batch, *args)
+            return solve_block(batch, *args)
 
-        monkeypatch.setattr(sweep, "_evaluate", counting)
+        def recording(drifts, diffusions, *args):
+            solved.append(len(diffusions))
+            return steady_covariances(drifts, diffusions, *args)
+
+        monkeypatch.setattr(sweep, "_solve_block", counting)
+        monkeypatch.setattr(sweep, "steady_covariances", recording)
         result = run_sweep(spec)
-        assert blocks == [12]  # one call for the one block: no block runs twice
+        # One drift-stage call for the 6 drifts and one solve block for the
+        # 12 stable points: no block runs twice.
+        assert (counts, blocks, solved) == ([6], [12], [6])
         monkeypatch.undo()
         statuses = [row.cells["status"] for row in result.rows]
         assert statuses == ["ok"] * 6 + ["error:ValidationError"] * 6
         assert list(result.rows) == [single_point_row(spec, row.axis_values)
                                      for row in result.rows]
         assert all(row.cells["eigen_stable"] for row in result.rows)
+
+    def test_residual_gate_failure_is_a_numerical_error(self):
+        # At n_th = 1e301 the covariance's residual is NaN, at 1e302 the
+        # covariance itself overflows: both miss the residual gate, as the
+        # one-point solver reports them.  At 1e308 the diffusion is not
+        # finite, an input out of range.
+        base = load_config(str(CONFIGS / "demo.json"))
+        for n_th, status in ((1e301, "error:NumericalError"),
+                             (1e302, "error:NumericalError"),
+                             (1e308, "error:ValidationError")):
+            spec = SweepSpec(base=base, axes=(AxisSpec(name="n_th", start=n_th, stop=n_th,
+                                                       points=1),))
+            (row,) = run_sweep(spec).rows
+            assert row.cells["status"] == status
+            assert row.cells["eigen_stable"] and row.cells["residual"] is None
+            params = replace(model_params(derive_parameters(base)), n_th=n_th)
+            diffusion = build_diffusion(params)
+            if np.isfinite(diffusion).all():
+                with pytest.raises(NumericalError):
+                    solve_steady_covariance(build_drift(params), diffusion)
 
     def test_overflowed_point_fails_alone_in_the_grid_assembly(self):
         # 2 F overflows at finesse 1e308, so kappa derives to 0 there, and the
@@ -508,9 +537,8 @@ class TestDriftSharing:
     @staticmethod
     def temperature_spec() -> SweepSpec:
         # The temperature changes the diffusion only.  -2e-5 K is invalid, so
-        # each detuning keeps 4 valid points; 4 divides BLOCK_POINTS, so no
-        # drift has points in two blocks, and the 80 valid points fill two
-        # blocks, the second one partially.
+        # each of the 20 detunings keeps 4 valid points, and the 80 valid
+        # points fill two solve blocks, the second one partially.
         return SweepSpec(
             base=load_config(str(CONFIGS / "demo.json")),
             axes=(
@@ -531,8 +559,36 @@ class TestDriftSharing:
     def test_stability_runs_once_per_distinct_detuning(self, monkeypatch):
         counts = count_drifts(monkeypatch)
         run_sweep(self.temperature_spec())
-        assert BLOCK_POINTS % 4 == 0
-        assert sum(counts) == 20
+        assert counts == [20]
+
+    def test_solve_blocks_hold_the_stable_points_only(self, monkeypatch):
+        # On a coupling grid every point has its own drift, and the stable
+        # ones are scattered among the unstable ones in drift-id order.  The
+        # drift stage checks all 576 drifts in one call; the solve stage
+        # takes the stable points alone, in full blocks.
+        spec = SweepSpec(
+            base=load_config(str(CONFIGS / "canonical.json")),
+            axes=(AxisSpec(name="g_mc", start=0.0, stop=500.0, points=24),
+                  AxisSpec(name="g_ac", start=0.0, stop=500.0, points=24)),
+        )
+        counts, blocks = count_drifts(monkeypatch), []
+        solve_block = sweep._solve_block
+
+        def recording(batch, ids, drifts, cells):
+            blocks.append([id(row) for row in cells])
+            return solve_block(batch, ids, drifts, cells)
+
+        monkeypatch.setattr(sweep, "_solve_block", recording)
+        result = run_sweep(spec)
+        monkeypatch.undo()
+        assert counts == [576]
+        stable = [row.cells for row in result.rows if row.cells["eigen_stable"]]
+        assert 0 < len(stable) < 576 - BLOCK_POINTS
+        assert all(row["status"] == "ok" for row in stable)
+        assert len(blocks) == math.ceil(len(stable) / BLOCK_POINTS)
+        assert [len(block) for block in blocks[:-1]] == [BLOCK_POINTS] * (len(blocks) - 1)
+        assert sorted(sum(blocks, [])) == sorted(map(id, stable))
+        assert_rows_match_single_point_sweeps(spec, result)
 
     def test_signed_zero_couplings_are_not_merged(self, monkeypatch):
         # linspace(0.0, -0.0) gives both signed zeros; the drift entries they
