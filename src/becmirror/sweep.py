@@ -14,17 +14,17 @@ eigenvalue verdict, the product criterion and the effective parameters) in one
 stacked call over every distinct drift of the grid and copies it to the
 drift's points.  The solve stage takes the points whose drift is stable and
 whose effective parameters did not fail, in blocks of :data:`BLOCK_POINTS`,
-and runs the diffusion-dependent work (the
-symmetric Lyapunov solve, with one operator inverse per distinct drift of the
-block, and the entanglement measures) per point.  Both run the stacked code
-the single-point functions run at N = 1.  Unstable points are evaluations, not
-failures: their rows carry an explicit ``unstable`` status and empty measure
-columns.  Every failure is a per-point mask, set at the stage where the
-point fails: the point's row carries ``error:<ErrorType>`` with the cells of
-the stages it passed, and its neighbours are untouched.  No stage is retried
-for a part of the grid.  Output is deterministic byte-for-byte, with a
-provenance header carrying a configuration hash and the pinned constants
-version; :func:`emit` formats it column by column, each distinct value once.
+and runs the diffusion-dependent work (the symmetric Lyapunov solve, with one
+operator inverse per distinct drift of the block, and the entanglement
+measures) per point.  Both run the stacked code the single-point functions
+run at N = 1.  Unstable points are evaluations, not failures: their rows
+carry an explicit ``unstable`` status and empty measure columns.  Every
+failure is a per-point mask, set at the stage where the point fails: the
+point's row carries ``error:<ErrorType>`` with the cells of the stages it
+passed, and its neighbours are untouched.  No stage is retried for a part of
+the grid.  Output is deterministic byte-for-byte, with a provenance header
+carrying a configuration hash and the pinned constants version; :func:`emit`
+formats it column by column, each distinct value once.
 """
 
 from __future__ import annotations
@@ -374,10 +374,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     order = np.argsort(ids, kind="stable")
     index, ids = index[order], ids[order]
     point_cells = [cells[i] for i in index.tolist()]
+    first = np.flatnonzero(np.diff(ids, prepend=-1))
     with np.errstate(**_QUIET):
-        first = np.flatnonzero(np.diff(ids, prepend=-1))
         drifts, solve = _drift_stage(batch[index[first]], ids, point_cells,
                                      spec.include_effective)
+        # An unstable drift has no stationary covariance, so it is not solved
+        # for (and its operator can be singular: two eigenvalues summing to 0).
         keep = solve[ids]
         index, ids = index[keep], ids[keep]
         point_cells = list(compress(point_cells, keep.tolist()))
