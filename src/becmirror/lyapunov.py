@@ -56,12 +56,15 @@ def residuals(drifts: np.ndarray, diffusions: np.ndarray, covs: np.ndarray) -> n
 def residual(drift: np.ndarray, diffusion: np.ndarray, cov: np.ndarray) -> float:
     """Relative Lyapunov residual ||M V + V M^T + D||_F / ||D||_F.
 
-    Falls back to the absolute residual when D vanishes.
+    Falls back to the absolute residual when D vanishes.  Finite inputs whose
+    products or norms leave the float range give an inf or NaN residual
+    without a warning; no residual gate passes either.
     """
     drift = _as_square(drift, "drift")
     diffusion = _as_square(diffusion, "diffusion")
     cov = _as_square(cov, "covariance")
-    return float(residuals(drift[None], diffusion[None], cov[None])[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(residuals(drift[None], diffusion[None], cov[None])[0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -363,24 +363,28 @@ def homodyne_weights(
     o~(t) = o(t) exp(i rotation t), the phase-``phase`` quadrature of the
     signal part is a time-dependent linear form w(t)^T R(t); this returns w
     as a (4, len(times)) array.
+
+    A gain or an angle rotation * t out of float range gives inf or NaN
+    weights without a warning; callers refuse them.
     """
     g = 1.0 / (2.0 * probe.kappa1)
-    w_rot = g * np.array(
-        [
-            math.sin(phase) * probe.G_mc1,
-            -math.cos(phase) * probe.G_mc1,
-            -math.sin(phase) * probe.G_ac1,
-            math.cos(phase) * probe.G_ac1,
-        ]
-    )
-    angles = rotation * np.asarray(times, dtype=float)
-    c, s = np.cos(angles), np.sin(angles)
-    weights = np.empty((4, len(angles)))
-    # Per mode, lab weights are Rot(angle)^T applied to the rotating-frame pair.
-    weights[0] = c * w_rot[0] + s * w_rot[1]
-    weights[1] = -s * w_rot[0] + c * w_rot[1]
-    weights[2] = c * w_rot[2] + s * w_rot[3]
-    weights[3] = -s * w_rot[2] + c * w_rot[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_rot = g * np.array(
+            [
+                math.sin(phase) * probe.G_mc1,
+                -math.cos(phase) * probe.G_mc1,
+                -math.sin(phase) * probe.G_ac1,
+                math.cos(phase) * probe.G_ac1,
+            ]
+        )
+        angles = rotation * np.asarray(times, dtype=float)
+        c, s = np.cos(angles), np.sin(angles)
+        weights = np.empty((4, len(angles)))
+        # Per mode, lab weights are Rot(angle)^T applied to the rotating-frame pair.
+        weights[0] = c * w_rot[0] + s * w_rot[1]
+        weights[1] = -s * w_rot[0] + c * w_rot[1]
+        weights[2] = c * w_rot[2] + s * w_rot[3]
+        weights[3] = -s * w_rot[2] + c * w_rot[3]
     return weights
 
 
@@ -402,8 +406,9 @@ def homodyne_output(
     Raises
     ------
     ValidationError
-        If ``noise_seed`` is missing; the readout noise stream must be
-        explicitly seeded for reproducibility.
+        If ``noise_seed`` is missing (the readout noise stream must be
+        explicitly seeded for reproducibility), or the record leaves the
+        float range, as it does with non-finite weights.
     """
     if noise_seed is None:
         raise ValidationError("noise_seed is required for the probe input noise")
@@ -412,14 +417,22 @@ def homodyne_output(
         bad = sorted(name for name, ok in flags.items() if not ok)
         logger.warning("probe outside its validity regime: %s", ", ".join(bad))
     weights = homodyne_weights(probe, phase, probe.detuning1, traj.times)
-    signal = np.einsum("jk,jk->k", weights, traj.samples[:4])
     rng = _rng(noise_seed)
     sigma = math.sqrt(1.0 / (2.0 * traj.dt))
-    xi_q, xi_p = rng.standard_normal((2, len(traj.times))) * sigma
-    noise = math.cos(phase) * xi_q + math.sin(phase) * xi_p
+    # Non-finite weights make every sample they touch non-finite, so one
+    # check on the record refuses them and an overflowing signal alike.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_q, xi_p = rng.standard_normal((2, len(traj.times))) * sigma
+        noise = math.cos(phase) * xi_q + math.sin(phase) * xi_p
+        values = np.einsum("jk,jk->k", weights, traj.samples[:4]) + noise
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            "homodyne record leaves the float range: the probe gain "
+            "G / (2 kappa1), its rotation detuning1 * t or the signal is too large"
+        )
     return HomodyneRecord(
         times=traj.times,
-        values=signal + noise,
+        values=values,
         phase=phase,
         probe=probe,
         rotation=probe.detuning1,
@@ -435,6 +448,21 @@ def _entry_label(i: int, j: int) -> str:
     return f"{QUADRATURES[i]}*{QUADRATURES[j]}"
 
 
+def _pair_block(wi: np.ndarray, wj: np.ndarray) -> np.ndarray:
+    """(kept times, 10) coefficients of one record pair's products.
+
+    Row t maps the ten unique covariance entries to the expected product of
+    the two records at kept time t, given their (4, kept times) weights.
+    """
+    block = np.empty((wi.shape[1], len(_UNIQUE_ENTRIES)))
+    for col, (p, q) in enumerate(_UNIQUE_ENTRIES):
+        if p == q:
+            block[:, col] = wi[p] * wj[p]
+        else:
+            block[:, col] = wi[p] * wj[q] + wi[q] * wj[p]
+    return block
+
+
 def reconstruct_correlations(
     record_sets: Sequence[Sequence[HomodyneRecord]],
     *,
@@ -445,22 +473,28 @@ def reconstruct_correlations(
 
     Equal-time products of the records are linear in the ten unique entries
     of the reduced covariance matrix through the known (time-dependent) gain
-    map: stacking every record pair's products gives targets y ~ A x with a
-    design A of (record pairs x kept times) rows and ten columns.  With A
-    scaled by its largest |entry| c, the normal equations
-    (A^T A / c^2) x = A^T y / c^2 are a 10 x 10 system, solved for every
-    trajectory at once; the tall design itself is never factorized.  The
-    final estimate and standard errors come from the scatter of the
-    per-trajectory solutions, which are independent by construction.
+    map: the products y_k of record pair k (i <= j) at the kept times are
+    y_k ~ A_k x with a (kept times, 10) block A_k, and the design A stacks
+    these blocks.  A is never built.  A first pass builds each block,
+    refuses one out of float range and finds the largest |entry| c of A; a
+    second pass rebuilds each block and adds (A_k / c)^T (A_k / c) to the
+    10 x 10 Gram matrix and (A_k / c)^T y_k to a (10, trajectories)
+    right-hand side.  The normal equations (A^T A / c^2) x = A^T y / c^2 are
+    then solved for every trajectory at once.  The fit's memory therefore
+    does not grow with the number of record pairs, and ``max_times`` bounds
+    its CPU and each pair's block.  The final estimate and standard errors
+    come from the scatter of the per-trajectory solutions, which are
+    independent by construction.
 
     An entry is identifiable when the scaled Gram matrix A^T A / c^2 has no
     eigenvalue at or below 1e-10 of its largest.  The threshold is relative,
     so it does not depend on the probe couplings (A scales as
     (G / kappa1)^2), and an exact dependency stays far below it: the Gram's
     rounding is at most about rows * 1.1e-16 (the unit roundoff) of the
-    largest eigenvalue, 4e-12 at the 33,270 rows homodyne-sim builds.  The
-    entries reported as unidentifiable are those with a component above
-    1e-8 in an eigenvector of such an eigenvalue.
+    largest eigenvalue, 4e-12 at the 33,270 rows (15 pairs x 2,218 kept
+    times) homodyne-sim sums into it.  The entries reported as
+    unidentifiable are those with a component above 1e-8 in an eigenvector
+    of such an eigenvalue.
 
     Parameters
     ----------
@@ -474,8 +508,10 @@ def reconstruct_correlations(
         same-record products.  Defaults to 1/(2 dt) as produced by
         :func:`homodyne_output`; pass 0.0 for noiseless synthetic records.
     max_times : int
-        Time indices are evenly subsampled down to this many rows per record
-        pair to bound the least-squares system size.
+        Time indices are evenly subsampled with stride
+        ``n_times // max_times`` (at least 1), so each record pair keeps
+        fewer than ``2 * max_times`` of them; this bounds the fit's CPU and
+        each pair's block.
 
     Returns
     -------
@@ -523,36 +559,41 @@ def reconstruct_correlations(
     t_idx = np.arange(0, n_times, stride)
     times = first[0].times[t_idx]
 
-    # A probe gain G / (2 kappa1) near the float range overflows the
-    # products of the weights; such a design is refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = [
-            homodyne_weights(rec.probe, rec.phase, rec.rotation, times) for rec in first
-        ]
+    pairs = [(i, j) for i in range(n_cfg) for j in range(i, n_cfg)]
+    weights = [
+        homodyne_weights(rec.probe, rec.phase, rec.rotation, times) for rec in first
+    ]
+    # First pass: refuse a block out of float range (a probe gain
+    # G / (2 kappa1) near it overflows the products of the weights) and find
+    # the largest |entry| c.  The design scales as coupling^2 / kappa1^2;
+    # dividing by c makes the test below and the Gram's range independent of
+    # that.  An all-zero design (uncoupled probes) keeps c = 1 and is refused.
+    scale = 0.0
+    for i, j in pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _pair_block(weights[i], weights[j])
+        if not np.isfinite(block).all():
+            raise ValidationError(
+                "homodyne design leaves the float range: the probe gains "
+                "G / (2 kappa1) are too large"
+            )
+        scale = max(scale, float(np.abs(block).max()))
+    scale = scale or 1.0
 
-        rows: list[np.ndarray] = []
-        for i in range(n_cfg):
-            for j in range(i, n_cfg):
-                wi, wj = weights[i], weights[j]
-                coeff = np.empty((len(t_idx), len(_UNIQUE_ENTRIES)))
-                for col, (p, q) in enumerate(_UNIQUE_ENTRIES):
-                    if p == q:
-                        coeff[:, col] = wi[p] * wj[p]
-                    else:
-                        coeff[:, col] = wi[p] * wj[q] + wi[q] * wj[p]
-                rows.append(coeff)
-        design = np.vstack(rows)
-    if not np.isfinite(design).all():
-        raise ValidationError(
-            "homodyne design leaves the float range: the probe gains G / (2 kappa1) "
-            "are too large"
-        )
-    # The design scales as coupling^2 / kappa1^2; dividing by its largest
-    # entry makes the test below and the Gram's range independent of that.
-    # An all-zero design (uncoupled probes) keeps scale 1 and is refused.
-    scale = float(np.abs(design).max()) or 1.0
-    design = design / scale
-    gram = design.T @ design
+    # Second pass: add each scaled block's share of the normal equations,
+    # one right-hand-side column per trajectory.
+    values = np.array(
+        [[rec.values[t_idx] for rec in records] for records in record_sets]
+    )  # (trajectory, configuration, kept time)
+    gram = np.zeros((len(_UNIQUE_ENTRIES), len(_UNIQUE_ENTRIES)))
+    rhs = np.zeros((len(_UNIQUE_ENTRIES), len(record_sets)))
+    for i, j in pairs:
+        block = _pair_block(weights[i], weights[j]) / scale
+        products = values[:, i] * values[:, j]
+        if i == j:
+            products -= noise_variance
+        gram += block.T @ block
+        rhs += block.T @ products.T
 
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     null = eigenvalues <= 1e-10 * eigenvalues[-1]
@@ -570,19 +611,7 @@ def reconstruct_correlations(
             + "; add local-oscillator phases or coupling configurations"
         )
 
-    values = np.array(
-        [[rec.values[t_idx] for rec in records] for records in record_sets]
-    )  # (trajectory, configuration, kept time)
-    targets = []
-    for i in range(n_cfg):
-        for j in range(i, n_cfg):
-            products = values[:, i] * values[:, j]
-            if i == j:
-                products = products - noise_variance
-            targets.append(products)
-    # One column per trajectory, its rows in the design's order.
-    targets = np.concatenate(targets, axis=1).T
-    stack = (np.linalg.solve(gram, design.T @ targets) / scale).T
+    stack = (np.linalg.solve(gram, rhs) / scale).T
     mean = stack.mean(axis=0)
     sem = stack.std(axis=0, ddof=1) / math.sqrt(len(record_sets))
 

@@ -337,6 +337,21 @@ class TestStochasticCommands:
         assert np.all(np.isfinite(doc["reconstructed"]))
         assert np.all(np.isfinite(doc["stderr"]))
 
+    def test_homodyne_sim_probe_gain_out_of_float_range(self, capsys):
+        # 1 / (2 kappa1) overflows at kappa1 = 5e-324 and the coupling
+        # kappa1 / 20 underflows to 0, so the weights are inf * 0 = NaN;
+        # only the error line may reach stderr.
+        code, out, err = run_cli(
+            capsys, "homodyne-sim", "--config", str(CONFIGS / "demo.json"),
+            "--trajectories", "2", "--horizon", "1e-5", "--probe-kappa", "5e-324",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: homodyne record leaves the float range: the probe gain "
+            "G / (2 kappa1), its rotation detuning1 * t or the signal is too large"
+        ]
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +205,41 @@ class TestResidual:
         drift = -np.eye(2)
         value = residual(drift, np.zeros((2, 2)), np.eye(2))
         assert value == pytest.approx(np.linalg.norm(-2.0 * np.eye(2)))
+
+    @pytest.mark.parametrize(
+        "drift, diffusion, cov, expected",
+        [
+            # ||M V + V M^T||_F squares 2e300.
+            (1e300 * np.eye(2), np.eye(2), np.eye(2), math.inf),
+            # Both norms overflow: inf / inf.
+            (-np.eye(2), 1e300 * np.eye(2), 1e300 * np.eye(2), math.nan),
+        ],
+        ids=["products_overflow", "both_norms_overflow"],
+    )
+    def test_out_of_range_residual_is_inf_or_nan_without_warning(
+        self, drift, diffusion, cov, expected
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = residual(drift, diffusion, cov)
+        assert value == expected or (math.isnan(expected) and math.isnan(value))
+        assert not value <= RESIDUAL_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        exponents=st.tuples(*[st.integers(-300, 300)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaled_matrices_give_a_float_without_warning(self, dim, exponents, seed):
+        rng = np.random.default_rng(seed)
+        drift, diffusion, cov = (
+            10.0**exponent * rng.uniform(-1.0, 1.0, (dim, dim)) for exponent in exponents
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = residual(drift, diffusion, cov)
+        assert type(value) is float
 
 
 class TestIntegrator:

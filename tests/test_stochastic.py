@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from becmirror import (
@@ -11,6 +15,7 @@ from becmirror import (
     ProbeCavity,
     QUADRATURES,
     StabilityError,
+    TrajectoryRecord,
     ValidationError,
     build_diffusion,
     build_drift,
@@ -393,6 +398,28 @@ class TestHomodyneOutput:
         noise_floor = math.sqrt(1.0 / (2.0 * q_record.dt))
         assert np.max(np.abs(q_record.values - expected)) <= 6.0 * noise_floor
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.tuples(*[st.floats(5e-324, 1e308)] * 4),
+        phase=st.sampled_from([0.0, math.pi / 4.0, math.pi / 2.0]),
+    )
+    def test_extreme_probes_give_finite_records_or_refusal(self, fields, phase):
+        # ProbeCavity accepts any positive finite kappa1 and detuning1, so the
+        # gain G / (2 kappa1) and the rotation detuning1 * t can leave the
+        # float range; that must be a refusal, not a warning or a NaN record.
+        samples = np.random.default_rng(4).standard_normal((6, 8))
+        traj = TrajectoryRecord(
+            times=0.5 * np.arange(8), samples=samples, dt=0.5, seed=0, stream=0
+        )
+        probe = ProbeCavity(*fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                record = homodyne_output(traj, probe, phase, noise_seed=3)
+            except ValidationError:
+                return
+        assert np.isfinite(record.values).all()
+
     def test_weights_shape_and_scale(self):
         probe = ProbeCavity(0.05, 1.0, 0.08, 0.04)
         times = np.linspace(0.0, 10.0, 101)
@@ -556,6 +583,26 @@ class TestReconstructCorrelations:
         sets = _constant_record_sets([state, -state], configs, times, dt=DEMO_DT)
         estimate, _ = reconstruct_correlations(sets, noise_variance=0.0)
         np.testing.assert_allclose(estimate, np.outer(state, state), atol=1e-10)
+
+    def test_fit_memory_stays_below_one_design(self):
+        # homodyne-sim's shape: five probes, 4,436 samples kept at stride 2.
+        # Its design, 15 pairs x 2,218 kept times x 10 columns, is 2.54 MiB;
+        # the pair-by-pair accumulation must never hold that much at once.
+        state = np.array([1.0, -0.5, 0.25, 2.0])
+        times = DEMO_DT * np.arange(4436)
+        configs = five_probe_configs(DEMO_OM_M / 20.0, DEMO_OM_M, DEMO_OM_M / 400.0)
+        sets = _constant_record_sets([state, -state], configs, times, dt=DEMO_DT)
+        pairs = len(configs) * (len(configs) + 1) // 2
+        kept = len(range(0, len(times), len(times) // 2000))
+        design_bytes = pairs * kept * 10 * 8
+        tracemalloc.start()
+        try:
+            estimate, _ = reconstruct_correlations(sets, noise_variance=0.0, max_times=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(estimate, np.outer(state, state), atol=1e-10)
+        assert peak < design_bytes, f"peak {peak / 2**20:.2f} MiB"
 
     def test_matches_per_trajectory_least_squares(self, stationary_record_sets):
         first = stationary_record_sets[0]
