@@ -7,7 +7,7 @@ logarithmic_negativity, with a stochastic-trajectory engine as an independent
 verification path and a sweep driver on top.
 """
 
-from .constants import CONSTANTS_VERSION
+from .constants import CONSTANTS_VERSION, PACKAGE_VERSION
 from .dynamics import (
     MODE_INDICES,
     QUADRATURES,
@@ -24,9 +24,7 @@ from .entanglement import (
     ReducedState,
     entanglement_result,
     logarithmic_negativity,
-    physical_symplectic_eigenvalues,
     reduce_to_modes,
-    simon_separability,
     symplectic_eigenvalues,
 )
 from .errors import (
@@ -58,9 +56,9 @@ from .stochastic import (
     reconstruct_correlations,
     simulate_trajectories,
 )
-from .sweep import AxisSpec, SweepResult, SweepSpec, emit, parse_sweep, run_sweep
+from .sweep import AxisSpec, SweepResult, SweepSpec, emit, run_sweep
 
-__version__ = "0.1.0"
+__version__ = PACKAGE_VERSION
 
 __all__ = [
     "AxisSpec",
@@ -98,14 +96,11 @@ __all__ = [
     "homodyne_weights",
     "logarithmic_negativity",
     "model_params",
-    "parse_sweep",
-    "physical_symplectic_eigenvalues",
     "reconstruct_correlations",
     "reduce_to_modes",
     "residual",
     "run_sweep",
     "self_consistent_detuning",
-    "simon_separability",
     "simulate_trajectories",
     "solve_steady_covariance",
     "steady_state_field",

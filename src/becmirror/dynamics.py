@@ -159,8 +159,15 @@ def eigen_stability(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
         raise NumericalError(f"eigenvalue computation failed on\n{drifts!r}") from exc
     abscissa = np.max(eigenvalues.real, axis=-1)
-    tol = MARGINAL_TOL * np.linalg.norm(drifts, axis=(-2, -1))
-    marginal = np.abs(abscissa) <= tol
+    extent = np.abs(abscissa)
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(drifts, axis=(-2, -1))
+    huge = np.isinf(size)
+    if huge.any():  # entries past ~1e154: measure in units of the largest
+        scale = np.max(np.abs(drifts[huge]), axis=(-2, -1))
+        size[huge] = np.linalg.norm(drifts[huge] / scale[:, None, None], axis=(-2, -1))
+        extent[huge] /= scale
+    marginal = extent <= MARGINAL_TOL * size
     stable = (abscissa < 0.0) & ~marginal
     return eigenvalues, abscissa, marginal, stable
 

@@ -34,7 +34,7 @@ class EffectiveModel:
     beam_splitter_coeff: float
     down_conversion_coeff: float
     adiabatic: bool
-    resonant: bool | None
+    resonant: bool
 
 
 def effective_parameters(
@@ -43,8 +43,8 @@ def effective_parameters(
     detuning: float,
     kappa: float,
     *,
-    om_m: float | None = None,
-    om_a: float | None = None,
+    om_m: float,
+    om_a: float,
 ) -> EffectiveModel:
     """Evaluate the adiabatic-elimination closed forms.
 
@@ -55,9 +55,9 @@ def effective_parameters(
     Only positive detunings are admitted; the elimination is derived in the
     red-detuned regime.  The ``adiabatic`` flag records whether the detuning
     dominates both couplings by :data:`ADIABATIC_MARGIN`; the ``resonant``
-    flag compares ``om_m`` and ``om_a`` when both are given (the closed forms
-    assume the two modes degenerate, but off-resonant inputs are evaluated
-    anyway and merely flagged).
+    flag compares ``om_m`` and ``om_a`` (the closed forms assume the two
+    modes degenerate, but off-resonant inputs are evaluated anyway and merely
+    flagged).
 
     Raises
     ------
@@ -86,9 +86,6 @@ def effective_parameters(
             f"effective closed forms out of float range at G_mc={G_mc!r}, "
             f"G_ac={G_ac!r}, detuning={detuning!r}, kappa={kappa!r}"
         ) from exc
-    resonant: bool | None = None
-    if om_m is not None and om_a is not None:
-        resonant = bool(abs(om_m - om_a) <= 1e-9 * max(abs(om_m), abs(om_a)))
     return EffectiveModel(
         freq_shift_mirror=shift_mirror,
         freq_shift_bec=shift_bec,
@@ -96,6 +93,6 @@ def effective_parameters(
         beam_splitter_coeff=coupling / 2.0,
         down_conversion_coeff=coupling / 2.0,
         adiabatic=detuning > ADIABATIC_MARGIN * max(G_mc, G_ac),
-        resonant=resonant,
+        resonant=bool(abs(om_m - om_a) <= 1e-9 * max(abs(om_m), abs(om_a))),
     )
 

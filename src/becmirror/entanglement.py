@@ -22,33 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MODE_INDICES
-from .errors import NumericalError, ValidationError
+from .errors import BecMirrorError, NumericalError, ValidationError
 
 #: matrices are accepted as symmetric up to this relative asymmetry
 SYMMETRY_TOL = 1e-12
 
 #: domain-boundary violations up to this (relative) size are clamped to zero
 CLAMP_TOL = 1e-12
-
-
-class ClampCounter:
-    """Counter of domain-boundary clamps (sweep diagnostic)."""
-
-    def __init__(self) -> None:
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def add(self, n: int) -> None:
-        self._count += int(n)
-
-    def reset(self) -> None:
-        self._count = 0
-
-
-CLAMP_EVENTS = ClampCounter()
 
 
 @dataclass(frozen=True)
@@ -81,6 +61,9 @@ class EntanglementResult:
     simon_separable: bool
     sigma: float
     det_cov: float
+    #: a boundary violation inside :data:`CLAMP_TOL` was clamped to zero: a
+    #: negative determinant or discriminant, or a degenerate Sigma <= 0
+    clamped: bool
 
 
 def reduce_to_modes(
@@ -117,8 +100,13 @@ def _cov_of(state: ReducedState | np.ndarray) -> np.ndarray:
     cov = state.cov if isinstance(state, ReducedState) else np.asarray(state, dtype=float)
     if cov.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 covariance matrix, got {cov.shape}")
-    asym = np.linalg.norm(cov - cov.T)
-    if asym > SYMMETRY_TOL * max(1.0, np.linalg.norm(cov)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit, size = cov, np.linalg.norm(cov)
+        if np.isinf(size):  # entries past ~1e154: measure in units of the largest
+            unit = cov / np.max(np.abs(cov))
+            size = np.linalg.norm(unit)
+        asym = np.linalg.norm(unit - unit.T)
+    if asym > SYMMETRY_TOL * max(1.0, size):
         raise ValidationError("covariance matrix is not symmetric")
     return 0.5 * (cov + cov.T)
 
@@ -129,45 +117,51 @@ def _det2(blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Pairs:
-    """Symplectic pairs of a stack of 4x4 covariances, one entry per matrix.
+    """Partially transposed symplectic pairs of a stack of 4x4 covariances,
+    one entry per matrix.
 
-    ``errors[i]`` holds the :class:`NumericalError` of a matrix whose
-    determinant or discriminant is negative beyond the clamp tolerance; its
+    ``errors[i]`` holds the error of a matrix whose determinant or
+    discriminant is negative beyond the clamp tolerance
+    (:class:`NumericalError`) or overflows (:class:`ValidationError`); its
     other entries are then meaningless.  ``det_cov`` is the determinant
-    before any clamp.
+    before any clamp, and ``clamped`` marks the matrices a clamp changed.
     """
 
     nu_minus: np.ndarray
     nu_plus: np.ndarray
     sigma: np.ndarray
     det_cov: np.ndarray
-    errors: list[NumericalError | None]
+    clamped: np.ndarray
+    errors: list[BecMirrorError | None]
 
 
-def _symplectic_pairs(covs: np.ndarray, sign: float) -> _Pairs:
-    """Shared core over an (N, 4, 4) stack: sign=-1 gives the
-    partial-transpose invariant Sigma."""
-    det_raw = np.linalg.det(covs)
-    sigma = _det2(covs[:, :2, :2]) + _det2(covs[:, 2:, 2:]) + 2.0 * sign * _det2(covs[:, :2, 2:])
-    bound = -CLAMP_TOL * np.maximum(1.0, sigma * sigma)
-    det_cov = np.where(det_raw < 0.0, 0.0, det_raw)
-    disc_raw = sigma * sigma - 4.0 * det_cov
-    bad_det = det_raw < bound
-    bad_disc = ~bad_det & (disc_raw < bound)
-    ok = ~(bad_det | bad_disc)
-    nu_plus_sq = 0.5 * (sigma + np.sqrt(np.where(disc_raw < 0.0, 0.0, disc_raw)))
-    # Degenerate state with Sigma <= 0; both eigenvalues collapse.
-    degenerate = nu_plus_sq <= 0.0
-    CLAMP_EVENTS.add(
-        np.count_nonzero((det_raw < 0.0) & ~bad_det)
-        + np.count_nonzero((disc_raw < 0.0) & ok)
-        + np.count_nonzero(degenerate & ok)
-    )
-    nu_plus_sq = np.where(degenerate, 0.0, nu_plus_sq)
-    # nu_-^2 nu_+^2 = det V', a cancellation-free route to the small root.
-    nu_minus = np.where(degenerate, 0.0,
-                        np.sqrt(det_cov / np.where(degenerate, 1.0, nu_plus_sq)))
-    errors: list[NumericalError | None] = [None] * len(covs)
+def _symplectic_pairs(covs: np.ndarray) -> _Pairs:
+    """Shared core over an (N, 4, 4) stack, with the partial-transpose
+    invariant Sigma."""
+    # Overflow leaves a non-finite discriminant, which the matrix's error
+    # reports; a finite one implies finite invariants and pairs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_raw = np.linalg.det(covs)
+        sigma = _det2(covs[:, :2, :2]) + _det2(covs[:, 2:, 2:]) - 2.0 * _det2(covs[:, :2, 2:])
+        bound = -CLAMP_TOL * np.maximum(1.0, sigma * sigma)
+        det_cov = np.where(det_raw < 0.0, 0.0, det_raw)
+        disc_raw = sigma * sigma - 4.0 * det_cov
+        nu_plus_sq = 0.5 * (sigma + np.sqrt(np.where(disc_raw < 0.0, 0.0, disc_raw)))
+        # Degenerate state with Sigma <= 0; both eigenvalues collapse.
+        degenerate = nu_plus_sq <= 0.0
+        nu_plus_sq = np.where(degenerate, 0.0, nu_plus_sq)
+        # nu_-^2 nu_+^2 = det V', a cancellation-free route to the small root.
+        nu_minus = np.where(degenerate, 0.0,
+                            np.sqrt(det_cov / np.where(degenerate, 1.0, nu_plus_sq)))
+    overflow = ~np.isfinite(disc_raw)
+    bad_det = ~overflow & (det_raw < bound)
+    bad_disc = ~overflow & ~bad_det & (disc_raw < bound)
+    clamped = (det_raw < 0.0) | (disc_raw < 0.0) | degenerate
+    errors: list[BecMirrorError | None] = [None] * len(covs)
+    for i in np.flatnonzero(overflow):
+        errors[i] = ValidationError(
+            "covariance matrix out of float range: its symplectic invariants overflow"
+        )
     for i in np.flatnonzero(bad_det):
         errors[i] = NumericalError(
             f"negative covariance determinant {det_raw[i]:.3e} beyond tolerance"
@@ -176,14 +170,7 @@ def _symplectic_pairs(covs: np.ndarray, sign: float) -> _Pairs:
         errors[i] = NumericalError(
             f"negative symplectic discriminant {disc_raw[i]:.3e} beyond tolerance"
         )
-    return _Pairs(nu_minus, np.sqrt(nu_plus_sq), sigma, det_raw, errors)
-
-
-def _symplectic_pair(cov: np.ndarray, sign: float) -> tuple[float, float]:
-    pairs = _symplectic_pairs(cov[None], sign)
-    if pairs.errors[0] is not None:
-        raise pairs.errors[0]
-    return float(pairs.nu_minus[0]), float(pairs.nu_plus[0])
+    return _Pairs(nu_minus, np.sqrt(nu_plus_sq), sigma, det_raw, clamped, errors)
 
 
 def symplectic_eigenvalues(state: ReducedState | np.ndarray) -> tuple[float, float]:
@@ -193,50 +180,28 @@ def symplectic_eigenvalues(state: ReducedState | np.ndarray) -> tuple[float, flo
     partial transposition of the second mode; ``nu_minus < 1/2`` signals
     entanglement.
     """
-    return _symplectic_pair(_cov_of(state), sign=-1.0)
-
-
-def physical_symplectic_eigenvalues(
-    state: ReducedState | np.ndarray,
-) -> tuple[float, float]:
-    """Symplectic eigenvalues of the state itself (no partial transpose).
-
-    Physical states satisfy nu_minus >= 1/2; useful as a physicality check.
-    """
-    return _symplectic_pair(_cov_of(state), sign=1.0)
+    result = entanglement_result(state)
+    return result.nu_minus, result.nu_plus
 
 
 def logarithmic_negativity(state: ReducedState | np.ndarray) -> float:
     """Logarithmic negativity max(0, -ln 2 nu_minus); 0 for separable states."""
-    nu_minus, _ = symplectic_eigenvalues(state)
-    if nu_minus == 0.0:
-        return math.inf
-    return max(0.0, -math.log(2.0 * nu_minus))
+    return entanglement_result(state).log_negativity
 
 
-def simon_separability(state: ReducedState | np.ndarray) -> bool:
-    """Two-mode PPT separability verdict: True iff the state is separable.
-
-    Computed from the same nu_minus as :func:`logarithmic_negativity`, so the
-    two are consistent by construction: separable iff nu_minus >= 1/2 iff the
-    logarithmic negativity vanishes.
-    """
-    nu_minus, _ = symplectic_eigenvalues(state)
-    return nu_minus >= 0.5
-
-
-def entanglement_results(covs: np.ndarray) -> list[EntanglementResult | NumericalError]:
+def entanglement_results(covs: np.ndarray) -> list[EntanglementResult | BecMirrorError]:
     """:func:`entanglement_result` over an (N, 4, 4) stack of symmetric
     reduced covariances.
 
-    A matrix past the clamp tolerance yields its :class:`NumericalError` in
+    A matrix past the clamp tolerance yields its :class:`NumericalError`, and
+    one whose symplectic invariants overflow its :class:`ValidationError`, in
     place of a result, so one bad point does not hide its neighbours.
     """
-    pairs = _symplectic_pairs(covs, sign=-1.0)
-    results: list[EntanglementResult | NumericalError] = []
-    for nu_minus, nu_plus, sigma, det_cov, error in zip(
+    pairs = _symplectic_pairs(covs)
+    results: list[EntanglementResult | BecMirrorError] = []
+    for nu_minus, nu_plus, sigma, det_cov, clamped, error in zip(
         pairs.nu_minus.tolist(), pairs.nu_plus.tolist(), pairs.sigma.tolist(),
-        pairs.det_cov.tolist(), pairs.errors,
+        pairs.det_cov.tolist(), pairs.clamped.tolist(), pairs.errors,
     ):
         if error is not None:
             results.append(error)
@@ -249,13 +214,24 @@ def entanglement_results(covs: np.ndarray) -> list[EntanglementResult | Numerica
             simon_separable=nu_minus >= 0.5,
             sigma=sigma,
             det_cov=det_cov,
+            clamped=clamped,
         ))
     return results
 
 
 def entanglement_result(state: ReducedState | np.ndarray) -> EntanglementResult:
-    """Bundle all entanglement quantities of a reduced state."""
+    """Bundle all entanglement quantities of a reduced state.
+
+    Raises
+    ------
+    ValidationError
+        If the matrix is not 4x4 and symmetric, or its symplectic invariants
+        overflow.
+    NumericalError
+        If its determinant or discriminant is negative beyond the clamp
+        tolerance.
+    """
     result = entanglement_results(_cov_of(state)[None])[0]
-    if isinstance(result, NumericalError):
+    if isinstance(result, BecMirrorError):
         raise result
     return result

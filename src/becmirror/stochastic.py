@@ -103,16 +103,15 @@ class ProbeCavity:
 
     The probe is treated as a pure readout map: its backaction on the system
     is neglected, which assumes the probe drive is much weaker than the main
-    one (``weak_probe``).  The adiabatic readout formula further assumes the
-    probe detuning is set to the mechanical frequency and dominates the probe
-    linewidth and couplings; :meth:`validity` reports those flags.
+    one.  The adiabatic readout formula further assumes the probe detuning is
+    set to the mechanical frequency and dominates the probe linewidth and
+    couplings; :meth:`validity` reports that flag.
     """
 
     kappa1: float
     detuning1: float
     G_mc1: float
     G_ac1: float
-    weak_probe: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.kappa1) and self.kappa1 > 0):
@@ -126,7 +125,7 @@ class ProbeCavity:
 
     def validity(self) -> dict[str, bool]:
         dominates = self.detuning1 > 10.0 * max(self.kappa1, self.G_mc1, self.G_ac1)
-        return {"detuning_dominates": dominates, "weak_probe": self.weak_probe}
+        return {"detuning_dominates": dominates}
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
-from importlib import metadata
 from itertools import compress
 from operator import itemgetter
 from types import SimpleNamespace
@@ -187,13 +186,6 @@ def _config_hash(spec: SweepSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _package_version() -> str:
-    try:
-        return metadata.version("becmirror")
-    except metadata.PackageNotFoundError:  # pragma: no cover - dev checkout
-        return "unknown"
-
-
 def _grid_models(
     base: PhysicalInput, columns: dict[str, np.ndarray]
 ) -> tuple[ModelBatch, np.ndarray]:
@@ -317,7 +309,10 @@ def _solve_block(batch: ModelBatch, ids: np.ndarray, drifts: np.ndarray,
     (``error:ValidationError``), and so does a residual above the gate
     (``error:NumericalError``), a covariance out of float range or a
     singular Lyapunov system included, as in
-    :func:`~becmirror.lyapunov.solve_steady_covariance`.
+    :func:`~becmirror.lyapunov.solve_steady_covariance`.  The entanglement
+    measures fail a point as :func:`~becmirror.entanglement_result` raises:
+    a clamp past its tolerance with ``error:NumericalError``, invariants out of
+    float range with ``error:ValidationError``.
     """
     diffusions = build_diffusion(batch)
     finite = np.isfinite(diffusions).all(axis=(-2, -1))
@@ -391,7 +386,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "schema_version": SCHEMA_VERSION,
         "config_hash": _config_hash(spec),
         "constants_version": constants.CONSTANTS_VERSION,
-        "package_version": _package_version(),
+        "package_version": constants.PACKAGE_VERSION,
     }
     rows = tuple(SweepRow(axis_values=v, cells=c) for v, c in zip(points, cells))
     return SweepResult(axis_names=axis_names, columns=names, rows=rows, provenance=provenance)
@@ -510,55 +505,3 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     # "rows" sorts after the other three keys, so it closes the document.
     rows = ",".join(template % row for row in zip(*texts))
     return (head[:-1] + ',"rows":[' + rows + "]}\n").encode()
-
-
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_schema_version(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"schema_version must be an integer, got {text!r}") from None
-
-
-def parse_sweep(blob: bytes, fmt: str = "csv") -> dict:
-    """Round-trip companion to :func:`emit`.
-
-    The CSV header's provenance values are read as strings, except
-    ``schema_version``, an integer, as in the JSON document.
-    """
-    if fmt == "json":
-        return json.loads(blob.decode())
-    if fmt != "csv":
-        raise ValidationError(f"unknown format {fmt!r}; use csv or json")
-    provenance: dict = {}
-    header: list[str] | None = None
-    rows = []
-    for line in blob.decode().splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = (part.strip() for part in body.partition("="))
-                provenance[key] = _parse_schema_version(value) if key == "schema_version" else value
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-            continue
-        rows.append({name: _parse_cell(cell) for name, cell in zip(header, cells)})
-    if header is None:
-        raise ValidationError("no header line found in CSV input")
-    return {"provenance": provenance, "columns": header, "rows": rows}

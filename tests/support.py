@@ -182,7 +182,12 @@ def integrate_covariance(
     """Integrate dV/dt = M V + V M^T + D to ``horizon`` with fixed-step RK4.
 
     The classical fourth-order Runge-Kutta oracle of the algebraic Lyapunov
-    solution: it shares no code with the solver.
+    solution: it shares no code with the solver.  The flow is linear in the
+    augmented state x = (vec V, 1): dx/dt = A x with the (n^2+1)-square
+    A = [[I (x) M + M (x) I, vec D], [0, 0]].  One RK4 step of size h is then
+    exactly x -> P(hA) x with P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so the
+    whole steps are applied as P(hA)^N by repeated squaring, and the
+    remainder of the horizon as one shorter step.
 
     Parameters
     ----------
@@ -219,43 +224,50 @@ def integrate_covariance(
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt!r}")
     cov = np.zeros_like(drift) if cov0 is None else np.array(cov0, dtype=float)
-    # The flow preserves symmetry, so V M^T = (M V)^T along the trajectory;
-    # symmetrizing the start lets each stage get away with one product.
     cov = 0.5 * (cov + cov.T)
-    diffusion_sym = 0.5 * (diffusion + diffusion.T)
-
     scale = max(np.linalg.norm(cov), np.linalg.norm(diffusion), 1.0)
     blowup = 1e12 * scale
     steps, remainder = divmod(horizon, dt)
     steps = int(steps)
 
-    def rhs(v: np.ndarray) -> np.ndarray:
-        half = drift @ v
-        return half + half.T + diffusion_sym
+    dim = drift.shape[0]
+    size = dim * dim + 1
+    eye = np.eye(dim)
+    generator = np.zeros((size, size))
+    generator[:-1, :-1] = np.kron(eye, drift) + np.kron(drift, eye)
+    generator[:-1, -1] = (0.5 * (diffusion + diffusion.T)).ravel()
 
-    def rk4_step(v: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
-        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rk4_map(h: float) -> np.ndarray:
+        # P(z) = 1 + z (1 + z/2 (1 + z/3 (1 + z/4))).
+        z = h * generator
+        out = np.eye(size)
+        for k in (4.0, 3.0, 2.0, 1.0):
+            out = np.eye(size) + (z @ out) / k
+        return out
 
-    check_every = 50
+    state = np.append(cov.ravel(), 1.0)
+    squarings = steps.bit_length()
+    # An unstable step overflows the powers to inf and then NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            cov = rk4_step(cov, dt)
-            if step % check_every == 0 and not np.linalg.norm(cov) < blowup:
-                raise NumericalError(
-                    f"covariance norm blew up after {step + 1} steps at dt={dt:.3e}; "
-                    "use a smaller dt"
-                )
+        power = rk4_map(dt)
+        while steps:
+            if steps & 1:
+                state = power @ state
+            steps >>= 1
+            if steps:
+                power = power @ power
         if remainder > 0.0:
-            cov = rk4_step(cov, remainder)
-    if not np.all(np.isfinite(cov)) or not np.linalg.norm(cov) < blowup:
-        raise NumericalError(
-            f"covariance norm blew up at dt={dt:.3e}; use a smaller dt"
-        )
-    return 0.5 * (cov + cov.T)
+            state = rk4_map(remainder) @ state
+        cov = state[:-1].reshape(dim, dim)
+        if not np.all(np.isfinite(cov)) or not np.linalg.norm(cov) < blowup:
+            raise NumericalError(
+                f"covariance norm blew up at dt={dt:.3e}; use a smaller dt"
+            )
+    # An entry that vanishes exactly, as stepping keeps it, comes out of the
+    # squarings as round-off of a few ulps of the largest entry per squaring.
+    cov = 0.5 * (cov + cov.T)
+    cov[np.abs(cov) <= 4.0 * squarings * np.finfo(float).eps * np.max(np.abs(cov))] = 0.0
+    return cov
 
 
 def _format_cell(value) -> str:
@@ -300,3 +312,38 @@ def reference_emit(result: SweepResult, fmt: str = "csv") -> bytes:
         }
         return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
     raise ValidationError(f"unknown format {fmt!r}; use csv or json")
+
+
+def _parse_cell(text: str):
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def parse_sweep(blob: bytes, fmt: str = "csv") -> dict:
+    """Reader of :func:`becmirror.emit`'s documents, the oracle of its round trips.
+
+    The CSV header's provenance values are read as strings, except
+    ``schema_version``, an integer, as in the JSON document.  A CSV cell
+    reads as None, a bool, a float or its text.
+    """
+    if fmt == "json":
+        return json.loads(blob.decode())
+    provenance: dict = {}
+    header: list[str] | None = None
+    rows = []
+    for line in blob.decode().splitlines():
+        if line.startswith("#"):
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                provenance[key] = int(value) if key == "schema_version" else value
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(dict(zip(header, map(_parse_cell, line.split(",")))))
+    return {"provenance": provenance, "columns": header, "rows": rows}

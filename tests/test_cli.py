@@ -130,6 +130,7 @@ class TestSimpleCommands:
         assert doc["nu_minus"] > 0.0
         assert doc["log_negativity"] >= 0.0
         assert isinstance(doc["simon_separable"], bool)
+        assert doc["clamped"] is False
 
     def test_entangle_detuning_override(self, demo_config, capsys):
         code, out, err = run_cli(

@@ -194,6 +194,16 @@ class TestStabilityEigen:
         assert not report.is_stable
         assert report.criterion_pass
 
+    def test_overflowing_norm_keeps_the_marginal_band_relative(self):
+        # Entries past 1e154 overflow ||M||_F; tier-1 turns the numpy warning
+        # into an error.  The band scales with the matrix, so the verdict
+        # matches that of -I.
+        report = check_stability_eigen(-1e300 * np.eye(6))
+        assert report.is_stable and not report.is_marginal
+        assert report.spectral_abscissa == -1e300
+        marginal = np.diag([-1e300, 1e-300, -1.0, -1.0, -1.0, -1.0])
+        assert check_stability_eigen(marginal).is_marginal
+
     def test_rejects_nonfinite(self):
         bad = np.eye(6)
         bad[0, 0] = np.nan

@@ -250,6 +250,33 @@ class TestIntegrator:
         advanced = integrate_covariance(drift, diffusion, cov, horizon=50.0, dt=0.01)
         np.testing.assert_allclose(advanced, cov, rtol=1e-9, atol=1e-12)
 
+    def test_propagator_matches_stepping(self):
+        # The oracle applies the RK4 step map in closed form; stepping it
+        # one step at a time over a short ragged horizon gives the same flow.
+        params = mild_model()
+        drift, diffusion = build_drift(params), build_diffusion(params)
+        dt, horizon = 0.01, 2.0037
+        cov = 0.5 * np.eye(6)
+
+        def rhs(v):
+            return drift @ v + v @ drift.T + diffusion
+
+        def step(v, h):
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * h * k1)
+            k3 = rhs(v + 0.5 * h * k2)
+            k4 = rhs(v + h * k3)
+            return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        steps, remainder = divmod(horizon, dt)
+        stepped = cov
+        for _ in range(int(steps)):
+            stepped = step(stepped, dt)
+        stepped = step(stepped, remainder)
+        propagated = integrate_covariance(drift, diffusion, cov, horizon, dt=dt)
+        gap = np.linalg.norm(propagated - stepped) / np.linalg.norm(stepped)
+        assert gap <= 1e-12
+
     def test_monotone_trace_relaxation(self):
         drift, diffusion = damped_mode(0.5, 1.0, 1.5)
         traces = []

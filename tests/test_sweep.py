@@ -22,7 +22,6 @@ from becmirror import (
     emit,
     entanglement_result,
     model_params,
-    parse_sweep,
     reduce_to_modes,
     run_sweep,
     solve_steady_covariance,
@@ -34,7 +33,7 @@ from becmirror.errors import BecMirrorError
 from becmirror.lyapunov import steady_covariances
 from becmirror.sweep import BLOCK_POINTS, SweepResult, SweepRow, _grid_models
 
-from support import TWO_PI, reference_emit, reference_input
+from support import TWO_PI, parse_sweep, reference_emit, reference_input
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -375,6 +374,17 @@ class TestRunSweep:
             if np.isfinite(diffusion).all():
                 with pytest.raises(NumericalError):
                     solve_steady_covariance(build_drift(params), diffusion)
+
+    def test_overflowing_entanglement_invariants_are_a_validation_error(self):
+        # At n_th = 1e100 the covariance passes the residual gate, but its
+        # reduced determinant overflows: no NaN measure reads as separable.
+        base = load_config(str(CONFIGS / "demo.json"))
+        spec = SweepSpec(base=base, axes=(AxisSpec(name="n_th", start=1e100, stop=1e100,
+                                                   points=1),))
+        (row,) = run_sweep(spec).rows
+        assert row.cells["status"] == "error:ValidationError"
+        assert row.cells["residual"] <= 1e-10
+        assert row.cells["nu_minus"] is None and row.cells["log_negativity"] is None
 
     def test_overflowed_point_fails_alone_in_the_grid_assembly(self):
         # 2 F overflows at finesse 1e308, so kappa derives to 0 there, and the
