@@ -26,15 +26,9 @@ from .dynamics import (
 )
 from .effective import effective_parameters
 from .entanglement import entanglement_result, reduce_to_modes
-from .errors import BecMirrorError, ValidationError
+from .errors import BecMirrorError, ValidationError, finite_real
 from .lyapunov import residual, solve_steady_covariance
-from .params import (
-    ModelParams,
-    PhysicalInput,
-    derive_parameters,
-    finite_real,
-    model_params,
-)
+from .params import ModelParams, PhysicalInput, derive_parameters, model_params
 from .stochastic import (
     ProbeCavity,
     ensemble_covariance,
@@ -60,8 +54,13 @@ CONSTANTS_ENV = "BECMIRROR_CONSTANTS"
 
 
 def load_config(path: str, frequency_unit: str | None = None) -> PhysicalInput:
-    with open(path) as fh:
-        raw = json.load(fh)
+    """The :class:`PhysicalInput` of the JSON config at ``path``; a file that is not
+    UTF-8 JSON within Python's limits, or holds invalid parameters, is refused."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError(
             f"config must be a JSON object of parameters, got {type(raw).__name__}"
@@ -108,11 +107,9 @@ def _json_default(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _model(args) -> tuple[PhysicalInput, ModelParams]:
-    inp = load_config(args.config, args.frequency_unit)
-    derived = derive_parameters(inp)
-    detuning = getattr(args, "detuning", None)
-    return inp, model_params(derived, detuning)
+def _model(args) -> ModelParams:
+    derived = derive_parameters(load_config(args.config, args.frequency_unit))
+    return model_params(derived, getattr(args, "detuning", None))
 
 
 def cmd_derive(args) -> int:
@@ -122,7 +119,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _, params = _model(args)
+    params = _model(args)
     report = check_stability_eigen(build_drift(params), params)
     _dump(
         {
@@ -138,7 +135,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    _, params = _model(args)
+    params = _model(args)
     drift = build_drift(params)
     diffusion = build_diffusion(params)
     cov = solve_steady_covariance(drift, diffusion)
@@ -153,7 +150,7 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    _, params = _model(args)
+    params = _model(args)
     drift = build_drift(params)
     cov = solve_steady_covariance(drift, build_diffusion(params))
     result = entanglement_result(reduce_to_modes(cov))
@@ -162,7 +159,7 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_effective(args) -> int:
-    _, params = _model(args)
+    params = _model(args)
     model = effective_parameters(
         params.G_mc, params.G_ac, params.detuning, params.kappa,
         om_m=params.om_m, om_a=params.om_a,
@@ -215,7 +212,7 @@ def cmd_sweep(args) -> int:
 
 
 def _sde_setup(args):
-    _, params = _model(args)
+    params = _model(args)
     drift = build_drift(params)
     diffusion = build_diffusion(params)
     report = check_stability_eigen(drift)
@@ -224,10 +221,7 @@ def _sde_setup(args):
             "config is not stable; stochastic verification needs a stationary state"
         )
     tau = 1.0 / abs(report.spectral_abscissa)
-    if not (math.isfinite(args.burn_in_factor) and args.burn_in_factor >= 0):
-        raise ValidationError(
-            f"--burn-in-factor must be finite and >= 0, got {args.burn_in_factor!r}"
-        )
+    finite_real("--burn-in-factor", args.burn_in_factor, ">= 0")
     horizon = (args.burn_in_factor + 20.0) * tau if args.horizon is None else args.horizon
     return params, drift, diffusion, tau, horizon
 
@@ -343,21 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, detuning=False)
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("stability", help="print the stability report")
-    add_common(p)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("covariance", help="print the steady-state covariance")
-    add_common(p)
-    p.set_defaults(func=cmd_covariance)
-
-    p = sub.add_parser("entangle", help="print the entanglement result")
-    add_common(p)
-    p.set_defaults(func=cmd_entangle)
-
-    p = sub.add_parser("effective", help="print the cavity-eliminated model")
-    add_common(p)
-    p.set_defaults(func=cmd_effective)
+    for name, func, text in (
+        ("stability", cmd_stability, "print the stability report"),
+        ("covariance", cmd_covariance, "print the steady-state covariance"),
+        ("entangle", cmd_entangle, "print the entanglement result"),
+        ("effective", cmd_effective, "print the cavity-eliminated model"),
+    ):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     add_common(p, detuning=False)
@@ -403,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_constants_pin()
         return args.func(args)
-    except (BecMirrorError, OSError, json.JSONDecodeError) as exc:
+    except (BecMirrorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, bounded_integer, finite_square, float_arithmetic
 from .params import ModelBatch, ModelParams
 
 QUADRATURES = ("q_m", "p_m", "q_a", "p_a", "q_c", "p_c")
@@ -26,7 +26,8 @@ MARGINAL_TOL = 1e-9
 
 
 def symplectic_form(n_modes: int = 3) -> np.ndarray:
-    """Direct sum of n_modes copies of [[0, 1], [-1, 0]]."""
+    """Direct sum of n_modes copies of [[0, 1], [-1, 0]], for 1 to 3 modes."""
+    n_modes = bounded_integer("n_modes", n_modes, 1, len(MODE_INDICES))
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
@@ -148,19 +149,18 @@ def eigen_stability(
     Raises
     ------
     ValidationError
-        If any matrix contains non-finite entries.
+        If ``drifts`` is not a stack of square matrices of finite entries.
     NumericalError
         If the eigenvalue iteration fails on any matrix of the stack.
     """
-    if not np.all(np.isfinite(drifts)):
-        raise ValidationError("drift matrix contains non-finite entries")
+    drifts = finite_square("drift matrix", drifts, stack=True)
     try:
         eigenvalues = np.linalg.eigvals(drifts)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
         raise NumericalError(f"eigenvalue computation failed on\n{drifts!r}") from exc
     abscissa = np.max(eigenvalues.real, axis=-1)
     extent = np.abs(abscissa)
-    with np.errstate(over="ignore"):
+    with float_arithmetic("drift norms"):
         size = np.linalg.norm(drifts, axis=(-2, -1))
     huge = np.isinf(size)
     if huge.any():  # entries past ~1e154: measure in units of the largest
@@ -188,13 +188,11 @@ def check_stability_eigen(
     Raises
     ------
     ValidationError
-        If the matrix contains non-finite entries.
+        If the matrix is not square or contains non-finite entries.
     NumericalError
         If the eigenvalue iteration fails; the message echoes the matrix.
     """
-    drift = np.asarray(drift, dtype=float)
-    if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
-        raise ValidationError(f"drift matrix must be square, got shape {drift.shape}")
+    drift = finite_square("drift matrix", drift)
     eigenvalues, abscissa, marginal, stable = eigen_stability(drift[None])
     value = passes = None
     if params is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_real, float_arithmetic
 
 #: detuning must exceed this multiple of the couplings for the flag to pass
 ADIABATIC_MARGIN = 10.0
@@ -62,30 +62,22 @@ def effective_parameters(
     Raises
     ------
     ValidationError
-        If an input is out of range, or a closed form overflows (or its
-        denominator underflows to zero) in float arithmetic.
+        If an input is not a finite real number within its range, or a
+        closed form overflows (or its denominator underflows to zero) in
+        float arithmetic.
     """
-    if detuning <= 0:
-        raise ValidationError(
-            f"effective model requires red detuning (> 0), got {detuning!r}"
-        )
-    if kappa <= 0:
-        raise ValidationError(f"kappa must be > 0, got {kappa!r}")
-    if G_mc < 0 or G_ac < 0:
-        raise ValidationError("effective couplings must be >= 0")
-    try:
+    for name, value, bound in (("red detuning", detuning, "> 0"), ("kappa", kappa, "> 0"),
+                               ("G_mc", G_mc, ">= 0"), ("G_ac", G_ac, ">= 0"),
+                               ("om_m", om_m, None), ("om_a", om_a, None)):
+        finite_real(name, value, bound)
+    with float_arithmetic("effective closed forms"):
         lorentz = detuning / (kappa**2 + detuning**2)
         shift_mirror = 4.0 * G_mc**2 * lorentz
         shift_bec = 4.0 * G_ac**2 * lorentz
         coupling = -8.0 * G_mc * G_ac * lorentz
-        # Python float products overflow to inf silently; powers raise.
-        if not all(map(math.isfinite, (shift_mirror, shift_bec, coupling))):
-            raise OverflowError("result out of range")
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ValidationError(
-            f"effective closed forms out of float range at G_mc={G_mc!r}, "
-            f"G_ac={G_ac!r}, detuning={detuning!r}, kappa={kappa!r}"
-        ) from exc
+    # Python float products overflow to inf silently; powers raise.
+    if not all(map(math.isfinite, (shift_mirror, shift_bec, coupling))):
+        raise ValidationError("effective closed forms out of float range")
     return EffectiveModel(
         freq_shift_mirror=shift_mirror,
         freq_shift_bec=shift_bec,

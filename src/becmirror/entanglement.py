@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MODE_INDICES
-from .errors import BecMirrorError, NumericalError, ValidationError
+from .errors import BecMirrorError, NumericalError, ValidationError, finite_square, float_arithmetic
 
 #: matrices are accepted as symmetric up to this relative asymmetry
 SYMMETRY_TOL = 1e-12
@@ -82,10 +82,8 @@ def reduce_to_modes(
     keep : tuple of str
         Two distinct mode names out of ``mirror``, ``bec``, ``cavity``.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape[-2:] != (6, 6) or cov.ndim > 3:
-        raise ValidationError(f"expected a 6x6 covariance matrix, got {cov.shape}")
-    if len(keep) != 2 or len(set(keep)) != 2:
+    cov = finite_square("covariance matrix", cov, 6, stack=np.ndim(cov) == 3)
+    if not hasattr(keep, "__len__") or len(keep) != 2 or len(set(keep)) != 2:
         raise ValidationError(f"keep must name two distinct modes, got {keep!r}")
     for mode in keep:
         if mode not in MODE_INDICES:
@@ -97,18 +95,17 @@ def reduce_to_modes(
 
 
 def _cov_of(state: ReducedState | np.ndarray) -> np.ndarray:
-    cov = state.cov if isinstance(state, ReducedState) else np.asarray(state, dtype=float)
-    if cov.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 covariance matrix, got {cov.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    cov = finite_square("covariance matrix", getattr(state, "cov", state), 4)
+    with float_arithmetic("covariance symmetry check"):
         unit, size = cov, np.linalg.norm(cov)
         if np.isinf(size):  # entries past ~1e154: measure in units of the largest
             unit = cov / np.max(np.abs(cov))
             size = np.linalg.norm(unit)
         asym = np.linalg.norm(unit - unit.T)
+        symmetric = 0.5 * (cov + cov.T)  # entries past ~9e307 overflow: refused later
     if asym > SYMMETRY_TOL * max(1.0, size):
         raise ValidationError("covariance matrix is not symmetric")
-    return 0.5 * (cov + cov.T)
+    return symmetric
 
 
 def _det2(blocks: np.ndarray) -> np.ndarray:
@@ -140,7 +137,7 @@ def _symplectic_pairs(covs: np.ndarray) -> _Pairs:
     invariant Sigma."""
     # Overflow leaves a non-finite discriminant, which the matrix's error
     # reports; a finite one implies finite invariants and pairs.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with float_arithmetic("symplectic invariants"):
         det_raw = np.linalg.det(covs)
         sigma = _det2(covs[:, :2, :2]) + _det2(covs[:, 2:, 2:]) - 2.0 * _det2(covs[:, :2, 2:])
         bound = -CLAMP_TOL * np.maximum(1.0, sigma * sigma)

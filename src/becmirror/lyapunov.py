@@ -21,24 +21,10 @@ import functools
 import numpy as np
 
 from .dynamics import check_stability_eigen
-from .errors import NumericalError, StabilityError, ValidationError
+from .errors import NumericalError, StabilityError, finite_square, float_arithmetic
 
 #: relative residual gate on the algebraic solution
 RESIDUAL_TOL = 1e-10
-
-
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return a
-
-
-def _finite(stack: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(stack)):
-        raise ValidationError(f"{name} contains non-finite entries")
 
 
 def residuals(drifts: np.ndarray, diffusions: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -60,10 +46,10 @@ def residual(drift: np.ndarray, diffusion: np.ndarray, cov: np.ndarray) -> float
     products or norms leave the float range give an inf or NaN residual
     without a warning; no residual gate passes either.
     """
-    drift = _as_square(drift, "drift")
-    diffusion = _as_square(diffusion, "diffusion")
-    cov = _as_square(cov, "covariance")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    drift = finite_square("drift", drift)
+    diffusion = finite_square("diffusion", diffusion, len(drift))
+    cov = finite_square("covariance", cov, len(drift))
+    with float_arithmetic("Lyapunov residual"):
         return float(residuals(drift[None], diffusion[None], cov[None])[0])
 
 
@@ -140,10 +126,10 @@ def steady_covariances(
     Raises
     ------
     ValidationError
-        If a drift or a diffusion contains non-finite entries.
+        If the stacks are not of square matrices of one size, or not finite.
     """
-    _finite(drifts, "drift")
-    _finite(diffusions, "diffusion")
+    drifts = finite_square("drift", drifts, stack=True)
+    diffusions = finite_square("diffusion", diffusions, drifts.shape[-1], stack=True)
     count, n, _ = drifts.shape
     rows, cols, first, second, unknown = _symmetric_tables(n)
     padded = np.zeros((count, n * n + 1))
@@ -210,12 +196,8 @@ def solve_steady_covariance(
         If the Lyapunov system is singular to working precision, or the
         solution fails the residual gate ``RESIDUAL_TOL``.
     """
-    drift = _as_square(drift, "drift")
-    diffusion = _as_square(diffusion, "diffusion")
-    if drift.shape != diffusion.shape:
-        raise ValidationError(
-            f"shape mismatch: drift {drift.shape} vs diffusion {diffusion.shape}"
-        )
+    drift = finite_square("drift", drift)
+    diffusion = finite_square("diffusion", diffusion, len(drift))
     if check_stability:
         report = check_stability_eigen(drift)
         if not report.is_stable:
@@ -226,7 +208,7 @@ def solve_steady_covariance(
             )
     # A covariance out of float range gives an inf or NaN residual, which the
     # gate below refuses, as the sweep's does; its overflow is no warning.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with float_arithmetic("Lyapunov solution"):
         covs, rel = steady_covariances(drift[None], diffusion[None])
     if rel[0] == np.inf:
         raise NumericalError(

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR, SPEED_OF_LIGHT
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, finite_real, float_arithmetic, within
 
 logger = logging.getLogger(__name__)
 
@@ -35,59 +34,14 @@ _CHOICE_GROUPS = (
     (("recoil_frequency",), ("bec_frequency",)),
 )
 
-#: PhysicalInput fields bounded below by 0, and whether the bound is strict;
-#: the remaining field, ``effective_detuning``, may take any finite value
-_PHYSICAL_BOUNDS = (
-    ("cavity_length", True),
-    ("laser_wavelength", True),
-    ("laser_power", True),
-    ("mirror_mass", True),
-    ("mirror_frequency", True),
-    ("mirror_damping", False),
-    ("temperature", False),
-    ("finesse", True),
-    ("cavity_decay", True),
-    ("bec_coupling", False),
-    ("lattice_depth", False),
-    ("atom_number", True),
-    ("recoil_frequency", True),
-    ("bec_frequency", True),
-)
-
-
-def finite_real(name: str, value) -> float:
-    """Return ``value`` if it is a finite real number, else raise.
-
-    Booleans, strings and ``None`` are not numbers here, so a mistyped
-    configuration value is reported by name instead of surfacing as a
-    ``TypeError`` deep inside the arithmetic.
-
-    Raises
-    ------
-    ValidationError
-        If ``value`` is not a finite real number.
-    """
-    # float and int first: they short-circuit the slower abstract-class check.
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _within_bound(value, strict: bool):
-    """``value > 0``, or ``value >= 0`` if not ``strict``, for a number or an
-    array; NaN is within no bound."""
-    return value > 0 if strict else value >= 0
-
-
-def _check_bounds(obj, bounds) -> None:
-    """Raise for the first field of ``bounds`` that ``obj`` sets outside its
-    bound."""
-    for name, strict in bounds:
-        value = getattr(obj, name)
-        if value is not None and not _within_bound(value, strict):
-            raise ValidationError(f"{name} must be {'> 0' if strict else '>= 0'}, got {value!r}")
+#: the bound of each PhysicalInput field; the remaining field,
+#: ``effective_detuning``, may take any finite value
+_PHYSICAL_BOUNDS = {
+    **dict.fromkeys(("cavity_length", "laser_wavelength", "laser_power", "mirror_mass",
+                     "mirror_frequency", "finesse", "cavity_decay", "atom_number",
+                     "recoil_frequency", "bec_frequency"), "> 0"),
+    **dict.fromkeys(("mirror_damping", "temperature", "bec_coupling", "lattice_depth"), ">= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -143,21 +97,12 @@ class PhysicalInput:
         for name, required in _PHYSICAL_FIELDS:
             value = getattr(self, name)
             if value is not None or required:
-                finite_real(name, value)
-        _check_bounds(self, _PHYSICAL_BOUNDS)
+                finite_real(name, value, _PHYSICAL_BOUNDS.get(name))
         for left, right in _CHOICE_GROUPS:
-            message = "exactly one of %s or %s must be supplied" % (
-                "/".join(left),
-                "/".join(right),
-            )
-            if any(getattr(self, n) is not None for n in left) and any(
-                getattr(self, n) is not None for n in right
-            ):
-                raise ValidationError(message)
-            if not all(getattr(self, n) is not None for n in left) and not all(
-                getattr(self, n) is not None for n in right
-            ):
-                raise ValidationError(message)
+            given = [[getattr(self, n) is not None for n in side] for side in (left, right)]
+            if not any(all(a) and not any(b) for a, b in (given, given[::-1])):
+                raise ValidationError(
+                    f"exactly one of {'/'.join(left)} or {'/'.join(right)} must be supplied")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -173,9 +118,8 @@ class PhysicalInput:
         if getattr(self, name) is None:
             return np.zeros(np.shape(values), dtype=bool)
         mask = np.isfinite(values)
-        for field, strict in _PHYSICAL_BOUNDS:
-            if field == name:
-                mask &= _within_bound(values, strict)
+        if name in _PHYSICAL_BOUNDS:
+            mask &= within(values, _PHYSICAL_BOUNDS[name])
         return mask
 
 
@@ -234,18 +178,10 @@ class CavitySteadyState:
     G_ac: float
 
 
-#: ModelParams fields bounded below by 0, and whether the bound is strict;
-#: the remaining field, ``detuning``, may take any finite value
-_MODEL_BOUNDS = (
-    ("om_m", True),
-    ("om_a", True),
-    ("kappa", True),
-    ("gamma", False),
-    ("G_mc", False),
-    ("G_ac", False),
-    ("n_th", False),
-    ("n_c", False),
-)
+#: the bound of each ModelParams field; the remaining field, ``detuning``,
+#: may take any finite value
+_MODEL_BOUNDS = {**dict.fromkeys(("om_m", "om_a", "kappa"), "> 0"),
+                 **dict.fromkeys(("gamma", "G_mc", "G_ac", "n_th", "n_c"), ">= 0")}
 
 
 @dataclass(frozen=True)
@@ -264,8 +200,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in _MODEL_FIELDS:
-            finite_real(name, getattr(self, name))
-        _check_bounds(self, _MODEL_BOUNDS)
+            finite_real(name, getattr(self, name), _MODEL_BOUNDS.get(name))
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -325,8 +260,8 @@ class ModelBatch:
         """Mask of the models that pass the rules of :class:`ModelParams`:
         every field finite and each bounded field within its bound."""
         mask = np.logical_and.reduce([np.isfinite(getattr(self, name)) for name in _MODEL_FIELDS])
-        for name, strict in _MODEL_BOUNDS:
-            mask &= _within_bound(getattr(self, name), strict)
+        for name, bound in _MODEL_BOUNDS.items():
+            mask &= within(getattr(self, name), bound)
         return mask
 
 
@@ -345,19 +280,25 @@ def thermal_occupation(
 
     Returns 0 at T = 0 (continuity limit) and underflows to 0 once
     hbar omega / (k_B T) exceeds ~745; rejects negative temperatures.
-    Broadcasts over arrays; numbers give a Python float.
+    Broadcasts over arrays, where an occupation out of float range is inf
+    (:meth:`ModelBatch.valid` masks it); numbers give a Python float, and
+    are refused if the occupation is out of float range.
     """
-    if np.any(temperature < 0):
-        raise ValidationError(f"temperature must be >= 0, got {temperature!r}")
-    if np.any(omega <= 0):
-        raise ValidationError(f"omega must be > 0, got {omega!r}")
-    omega = np.asarray(omega, dtype=float)
-    temperature = np.asarray(temperature, dtype=float)
-    with np.errstate(divide="ignore"):
+    if np.ndim(omega) == np.ndim(temperature) == 0:
+        finite_real("omega", omega, "> 0")
+        finite_real("temperature", temperature, ">= 0")
+    elif np.any(temperature < 0) or np.any(omega <= 0):
+        raise ValidationError("temperature must be >= 0 and omega > 0")
+    with float_arithmetic("thermal occupation"):
         # x = inf at T = 0, where the expression below gives exactly 0.
-        x = HBAR * omega / (BOLTZMANN_K * temperature)
-    # 1 / (e^x - 1) written so that e^x cannot overflow at ultracold T.
-    return _number_or_array(np.exp(-x) / -np.expm1(-x))
+        x = HBAR * np.asarray(omega, dtype=float) / (
+            BOLTZMANN_K * np.asarray(temperature, dtype=float))
+        # 1 / (e^x - 1) written so that e^x cannot overflow at ultracold T.
+        occupation = np.exp(-x) / -np.expm1(-x)
+    if occupation.ndim == 0 and not np.isfinite(occupation):
+        raise ValidationError(f"thermal occupation out of float range at omega={omega!r}, "
+                              f"T={temperature!r}")
+    return _number_or_array(occupation)
 
 
 def derive_parameters(inp: PhysicalInput) -> DerivedParams:
@@ -367,22 +308,26 @@ def derive_parameters(inp: PhysicalInput) -> DerivedParams:
     ``inp`` may also be any object with the attributes of a
     :class:`PhysicalInput` some of which hold arrays of valid values (a
     sweep grid); the fields of the result are then arrays where they depend
-    on those.
+    on those.  A field out of float range is inf or NaN, without a warning,
+    but the thermal occupation of numbers is refused there (see
+    :func:`thermal_occupation`), and so is a division by inputs whose
+    product underflows to 0.
     """
-    om_p = 2.0 * math.pi * SPEED_OF_LIGHT / inp.laser_wavelength
-    if inp.cavity_decay is not None:
-        kappa = inp.cavity_decay
-    else:
-        # Fabry-Perot amplitude decay (half width): kappa = pi c / (2 F L).
-        kappa = math.pi * SPEED_OF_LIGHT / (2.0 * inp.finesse * inp.cavity_length)
-    x_zpf = np.sqrt(HBAR / (2.0 * inp.mirror_mass * inp.mirror_frequency))
-    drive = np.sqrt(2.0 * inp.laser_power * kappa / (HBAR * om_p))
-    g_mc = math.sqrt(2.0) * (om_p / inp.cavity_length) * x_zpf
-    if inp.bec_coupling is not None:
-        g_ac = inp.bec_coupling
-    else:
-        g_ac = inp.lattice_depth * np.sqrt(inp.atom_number) / 2.0
-    om_a = inp.bec_frequency if inp.bec_frequency is not None else 4.0 * inp.recoil_frequency
+    with float_arithmetic("derived parameters"):
+        om_p = 2.0 * math.pi * SPEED_OF_LIGHT / inp.laser_wavelength
+        if inp.cavity_decay is not None:
+            kappa = inp.cavity_decay
+        else:
+            # Fabry-Perot amplitude decay (half width): kappa = pi c / (2 F L).
+            kappa = math.pi * SPEED_OF_LIGHT / (2.0 * inp.finesse * inp.cavity_length)
+        x_zpf = np.sqrt(HBAR / (2.0 * inp.mirror_mass * inp.mirror_frequency))
+        drive = np.sqrt(2.0 * inp.laser_power * kappa / (HBAR * om_p))
+        g_mc = math.sqrt(2.0) * (om_p / inp.cavity_length) * x_zpf
+        if inp.bec_coupling is not None:
+            g_ac = inp.bec_coupling
+        else:
+            g_ac = inp.lattice_depth * np.sqrt(inp.atom_number) / 2.0
+        om_a = inp.bec_frequency if inp.bec_frequency is not None else 4.0 * inp.recoil_frequency
     n_th = thermal_occupation(inp.mirror_frequency, inp.temperature)
     values = dict(
         om_p=om_p,
@@ -409,26 +354,35 @@ def steady_state_field(derived: DerivedParams, detuning: float) -> CavitySteadyS
     detunings; where an array ``kappa`` is not positive the fields are
     meaningless, and :meth:`ModelBatch.valid` masks those points.
 
+    A field out of float range is inf or NaN, without a warning.
+
     Raises
     ------
     ValidationError
-        If ``kappa`` is a number that is not positive.
+        If ``kappa`` is a number that is not positive, ``detuning`` is a
+        number but not a finite real one, or a divisor underflows to 0.
     """
     if np.ndim(derived.kappa) == 0 and derived.kappa <= 0:
         raise ValidationError(f"kappa must be > 0, got {derived.kappa!r}")
-    denom = derived.kappa + 1j * detuning
-    field = derived.drive / denom
-    n = derived.drive * derived.drive / (derived.kappa * derived.kappa + detuning * detuning)
-    bec_amp = -(derived.g_ac / (math.sqrt(2.0) * derived.om_a)) * n
-    mirror_amp = (1j * derived.g_mc / (math.sqrt(2.0) * (derived.gamma + 1j * derived.om_m))) * n
-    root_n = np.sqrt(n)
+    if np.ndim(detuning) == 0:
+        finite_real("detuning", detuning)
+    with float_arithmetic("mean fields"):
+        denom = derived.kappa + 1j * detuning
+        field = derived.drive / denom
+        n = derived.drive * derived.drive / (derived.kappa * derived.kappa + detuning * detuning)
+        bec_amp = -(derived.g_ac / (math.sqrt(2.0) * derived.om_a)) * n
+        mirror_amp = (1j * derived.g_mc
+                      / (math.sqrt(2.0) * (derived.gamma + 1j * derived.om_m))) * n
+        root_n = np.sqrt(n)
+        G_mc = math.sqrt(2.0) * derived.g_mc * root_n
+        G_ac = math.sqrt(2.0) * derived.g_ac * root_n
     return CavitySteadyState(
         photon_number=_number_or_array(n),
         field_amplitude=field,
         bec_amplitude=bec_amp,
         mirror_amplitude=mirror_amp,
-        G_mc=_number_or_array(math.sqrt(2.0) * derived.g_mc * root_n),
-        G_ac=_number_or_array(math.sqrt(2.0) * derived.g_ac * root_n),
+        G_mc=_number_or_array(G_mc),
+        G_ac=_number_or_array(G_ac),
     )
 
 
@@ -480,46 +434,52 @@ def self_consistent_detuning(
     gives a real cubic in the photon number; all real non-negative roots are
     returned as ``(detuning, photon_number)`` pairs sorted by photon number.
     Up to three roots exist (optical bistability).  Negative-photon-number
-    roots are discarded and logged.
+    roots are discarded and logged.  A ``bare_detuning`` that is not a finite
+    real number, a ``kappa`` that is not positive, or a cubic out of float
+    range raise :class:`ValidationError`; a polished root that fails its
+    residual gate raises :class:`NumericalError`.
     """
-    kappa = derived.kappa
-    if kappa <= 0:
-        raise ValidationError(f"kappa must be > 0, got {kappa!r}")
-    beta = _backaction_coefficient(derived)
-    if derived.drive == 0.0 or beta == 0.0:
-        n = derived.drive**2 / (kappa**2 + bare_detuning**2)
-        return [(bare_detuning - beta * n, n)]
+    finite_real("bare_detuning", bare_detuning)
+    kappa = finite_real("kappa", derived.kappa, "> 0")
+    with float_arithmetic("backaction cubic"):
+        beta = _backaction_coefficient(derived)
+        if derived.drive == 0.0 or beta == 0.0:
+            n = derived.drive**2 / (kappa**2 + bare_detuning**2)
+            return [(bare_detuning - beta * n, n)]
 
-    # Dimensionless form: u = n / (E/kappa)^2, x_o = bare_detuning / kappa,
-    # b = beta (E/kappa)^2 / kappa.  Roots of
-    #   b^2 u^3 - 2 x_o b u^2 + (1 + x_o^2) u - 1 = 0.
-    n_ref = (derived.drive / kappa) ** 2
-    x_o = bare_detuning / kappa
-    b = beta * n_ref / kappa
-    coeffs = np.array([b * b, -2.0 * x_o * b, 1.0 + x_o * x_o, -1.0])
-    roots = np.roots(coeffs)
+        # Dimensionless form: u = n / (E/kappa)^2, x_o = bare_detuning / kappa,
+        # b = beta (E/kappa)^2 / kappa.  Roots of
+        #   b^2 u^3 - 2 x_o b u^2 + (1 + x_o^2) u - 1 = 0.
+        n_ref = (derived.drive / kappa) ** 2
+        x_o = bare_detuning / kappa
+        b = beta * n_ref / kappa
+        coeffs = np.array([b * b, -2.0 * x_o * b, 1.0 + x_o * x_o, -1.0])
+        try:  # inf or NaN in the coefficients, or in their companion matrix
+            roots = np.roots(coeffs)
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"backaction cubic out of float range: {coeffs}") from None
 
-    def f(u: float) -> float:
-        return ((b * b * u - 2.0 * x_o * b) * u + 1.0 + x_o * x_o) * u - 1.0
+        def f(u: float) -> float:
+            return ((b * b * u - 2.0 * x_o * b) * u + 1.0 + x_o * x_o) * u - 1.0
 
-    def fprime(u: float) -> float:
-        return (3.0 * b * b * u - 4.0 * x_o * b) * u + 1.0 + x_o * x_o
+        def fprime(u: float) -> float:
+            return (3.0 * b * b * u - 4.0 * x_o * b) * u + 1.0 + x_o * x_o
 
-    polished: list[float] = []
-    for r in roots:
-        if abs(r.imag) > 1e-6 * (1.0 + abs(r.real)):
-            continue
-        u = float(r.real)
-        for _ in range(50):
-            fu = f(u)
-            dfu = fprime(u)
-            if dfu == 0.0:
-                break
-            step = fu / dfu
-            u -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(u)):
-                break
-        polished.append(u)
+        polished: list[float] = []
+        for r in roots:
+            if abs(r.imag) > 1e-6 * (1.0 + abs(r.real)):
+                continue
+            u = float(r.real)
+            for _ in range(50):
+                fu = f(u)
+                dfu = fprime(u)
+                if dfu == 0.0:
+                    break
+                step = fu / dfu
+                u -= step
+                if abs(step) <= 1e-16 * (1.0 + abs(u)):
+                    break
+            polished.append(u)
 
     results: list[tuple[float, float]] = []
     seen: list[float] = []
@@ -536,7 +496,7 @@ def self_consistent_detuning(
         x = x_o - b * u
         scale = 1.0 + u * (1.0 + x * x)
         rel = abs(f(u)) / scale
-        if rel > _ROOT_RESIDUAL_TOL:
+        if not rel <= _ROOT_RESIDUAL_TOL:
             raise NumericalError(
                 f"self-consistent root failed its residual gate: {rel:.3e} > {_ROOT_RESIDUAL_TOL:.0e}"
             )

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import QUADRATURES, check_stability_eigen
-from .errors import StabilityError, ValidationError
+from .errors import (StabilityError, ValidationError, bounded_integer, finite_real,
+                     finite_square, float_arithmetic)
 
 logger = logging.getLogger(__name__)
 
@@ -63,26 +63,24 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     ValidationError
         If the seed or the stream is not a non-negative integer.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
+    key = [bounded_integer("seed", seed, 0), bounded_integer("stream", stream, 0)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _psd_root(matrix: np.ndarray, name: str) -> np.ndarray:
+def _psd_root(matrix: np.ndarray, name: str, size: int) -> np.ndarray:
     """R with R R^T = matrix for a symmetric positive semidefinite matrix.
 
     Raises
     ------
     ValidationError
-        If the matrix has non-finite entries or is not positive
-        semidefinite.
+        If the matrix is not ``size`` x ``size``, has non-finite entries or
+        is not positive semidefinite.
     """
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    evals, evecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    if np.min(evals) < -1e-10 * max(1.0, float(np.max(np.abs(evals)))):
-        raise ValidationError(f"{name} is not positive semidefinite")
+    matrix = finite_square(name, matrix, size)
+    with float_arithmetic("matrix square root"):  # entries past ~9e307 overflow the sum
+        evals, evecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    if not np.min(evals) >= -1e-10 * max(1.0, float(np.max(np.abs(evals)))):
+        raise ValidationError(f"{name} is not positive semidefinite or out of float range")
     return evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
@@ -105,7 +103,7 @@ class ProbeCavity:
     is neglected, which assumes the probe drive is much weaker than the main
     one.  The adiabatic readout formula further assumes the probe detuning is
     set to the mechanical frequency and dominates the probe linewidth and
-    couplings; :meth:`validity` reports that flag.
+    couplings; :meth:`validity` reports whether it does.
     """
 
     kappa1: float
@@ -114,18 +112,14 @@ class ProbeCavity:
     G_ac1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa1) and self.kappa1 > 0):
-            raise ValidationError(f"kappa1 must be > 0, got {self.kappa1!r}")
-        for name in ("G_mc1", "G_ac1"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be >= 0, got {value!r}")
-        if not (math.isfinite(self.detuning1) and self.detuning1 > 0):
-            raise ValidationError(f"detuning1 must be > 0, got {self.detuning1!r}")
+        for name, bound in (("kappa1", "> 0"), ("detuning1", "> 0"), ("G_mc1", ">= 0"),
+                            ("G_ac1", ">= 0")):
+            finite_real(name, getattr(self, name), bound)
 
-    def validity(self) -> dict[str, bool]:
-        dominates = self.detuning1 > 10.0 * max(self.kappa1, self.G_mc1, self.G_ac1)
-        return {"detuning_dominates": dominates}
+    def validity(self) -> bool:
+        """Whether the detuning exceeds ten times the linewidth and the
+        couplings, as the adiabatic readout formula assumes."""
+        return self.detuning1 > 10.0 * max(self.kappa1, self.G_mc1, self.G_ac1)
 
 
 @dataclass(frozen=True)
@@ -154,29 +148,31 @@ def exact_transition(
     Q(2h) = Q(h) + Phi(h) Q(h) Phi(h)^T and Phi(2h) = Phi(h)^2, then reach dt.
     Q is built from M and D alone, never from a steady-state covariance, so
     trajectories sampled with it are an independent check of the Lyapunov
-    solution.
+    solution.  A transition out of float range has inf or NaN entries in Q,
+    without a warning.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
     dim = drift.shape[0]
-    scaled = float(np.max(np.sum(np.abs(drift), axis=0))) * dt
-    doublings = max(0, math.frexp(scaled / _TAYLOR_RADIUS)[1])
-    h = dt / 2.0**doublings
-    block = np.zeros((2 * dim, 2 * dim))
-    block[:dim, :dim] = -drift * h
-    block[:dim, dim:] = diffusion * h
-    block[dim:, dim:] = drift.T * h
-    term = np.eye(2 * dim)
-    series = term.copy()
-    for n in range(1, _TAYLOR_TERMS + 1):
-        term = term @ block / n
-        series += term
-    phi = series[dim:, dim:].T
-    q = phi @ series[:dim, dim:]
-    q = 0.5 * (q + q.T)
-    for _ in range(doublings):
-        q = q + phi @ q @ phi.T
-        phi = phi @ phi
+    with float_arithmetic("exact transition"):
+        scaled = float(np.max(np.sum(np.abs(drift), axis=0))) * dt
+        doublings = max(0, math.frexp(scaled / _TAYLOR_RADIUS)[1])
+        h = math.ldexp(dt, -doublings)
+        block = np.zeros((2 * dim, 2 * dim))
+        block[:dim, :dim] = -drift * h
+        block[:dim, dim:] = diffusion * h
+        block[dim:, dim:] = drift.T * h
+        term = np.eye(2 * dim)
+        series = term.copy()
+        for n in range(1, _TAYLOR_TERMS + 1):
+            term = term @ block / n
+            series += term
+        phi = series[dim:, dim:].T
+        q = phi @ series[:dim, dim:]
+        q = 0.5 * (q + q.T)
+        for _ in range(doublings):
+            q = q + phi @ q @ phi.T
+            phi = phi @ phi
     return phi, q
 
 
@@ -227,19 +223,15 @@ def simulate_trajectories(
         If the drift matrix is not strictly Hurwitz.
     ValidationError
         If ``dt`` or ``horizon`` is not finite and positive,
-        ``n_trajectories`` is below one, the run would store more than
-        :data:`MAX_SAMPLES` samples, or the drift matrix, the diffusion
-        matrix or ``cov0`` has non-finite entries, or ``cov0`` or the
-        diffusion matrix is not positive semidefinite.
+        ``n_trajectories`` is not a positive integer, the run would store
+        more than :data:`MAX_SAMPLES` samples, the matrices are not square
+        of one size or have non-finite entries, or ``cov0`` or the diffusion
+        matrix is not positive semidefinite.
     """
-    drift = np.asarray(drift, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
-    if n_trajectories < 1:
-        raise ValidationError(f"n_trajectories must be >= 1, got {n_trajectories!r}")
+    drift = finite_square("drift matrix", drift)
+    finite_real("dt", dt, "> 0")
+    finite_real("horizon", horizon, "> 0")
+    bounded_integer("n_trajectories", n_trajectories, 1, MAX_SAMPLES)
     stored = n_trajectories * (horizon / dt + 1.0)
     if stored > MAX_SAMPLES:
         raise ValidationError(
@@ -253,15 +245,14 @@ def simulate_trajectories(
             "trajectory simulation requires a strictly stable drift matrix "
             f"(spectral abscissa {report.spectral_abscissa:.6e})"
         )
-    _psd_root(diffusion, "diffusion matrix")
-    cov0_root = None
-    if cov0 is not None:
-        cov0_root = _psd_root(np.asarray(cov0, dtype=float), "cov0")
-    phi, q = exact_transition(drift, diffusion, dt)
-    noise_root = _psd_root(q, "step noise covariance")
-
     dim = drift.shape[0]
+    _psd_root(diffusion, "diffusion matrix", dim)
+    cov0_root = None if cov0 is None else _psd_root(cov0, "cov0", dim)
+    phi, q = exact_transition(drift, diffusion, dt)
+    noise_root = _psd_root(q, "step noise covariance", dim)
+
     n_steps = int(round(horizon / dt))
+    first_stream = bounded_integer("first_stream", first_stream, 0)
     streams = range(first_stream, first_stream + n_trajectories)
     rngs = [_rng(seed, s) for s in streams]
     # path[col] is the record of one stream; state holds one column per stream.
@@ -305,7 +296,8 @@ def ensemble_covariance(
 
     ``batch_length`` defaults to a sixteenth of the post-burn-in span; it
     should exceed the system decorrelation time for the standard errors to
-    be trustworthy.
+    be trustworthy.  An estimate or standard error out of float range is
+    refused with :class:`ValidationError`.
     """
     if not trajectories:
         raise ValidationError("at least one trajectory is required")
@@ -313,8 +305,7 @@ def ensemble_covariance(
     for traj in trajectories:
         if traj.dt != dt:
             raise ValidationError("trajectories must share a common dt")
-    if not (math.isfinite(burn_in) and burn_in >= 0):
-        raise ValidationError(f"burn_in must be finite and >= 0, got {burn_in!r}")
+    finite_real("burn_in", burn_in, ">= 0")
     span = min(traj.times[-1] for traj in trajectories) - burn_in
     if span <= 0:
         raise ValidationError(
@@ -323,32 +314,37 @@ def ensemble_covariance(
         )
     if batch_length is None:
         batch_length = span / 16.0
-    per_batch = max(1, int(round(batch_length / dt)))
+    # A batch past the longest record gives none; the cap keeps the int finite.
+    per_batch = max(1, int(round(min(finite_real("batch_length", batch_length, "> 0") / dt,
+                                     2.0**53))))
 
     batches: list[np.ndarray] = []
-    for traj in trajectories:
-        start = int(math.ceil(burn_in / dt))
-        data = traj.samples[:, start:]
-        n_batches = data.shape[1] // per_batch
-        for b in range(n_batches):
-            chunk = data[:, b * per_batch : (b + 1) * per_batch]
-            batches.append(chunk @ chunk.T / chunk.shape[1])
-    if len(trajectories) == 1 and len(batches) < 8:
-        raise ValidationError(
-            f"a single trajectory yielded only {len(batches)} batches; "
-            "use >= 2 trajectories or a horizon of at least "
-            f"{burn_in + 8 * per_batch * dt:.3g} with this batch length"
-        )
-    if len(batches) < 2:
-        raise ValidationError(
-            "need at least 2 batches for a standard error; "
-            "lengthen the trajectories or shrink batch_length"
-        )
-    stack = np.stack(batches)
-    estimate = stack.mean(axis=0)
-    stderr = stack.std(axis=0, ddof=1) / math.sqrt(len(batches))
-    estimate = 0.5 * (estimate + estimate.T)
-    stderr = 0.5 * (stderr + stderr.T)
+    with float_arithmetic("ensemble covariance"):
+        for traj in trajectories:
+            start = int(math.ceil(burn_in / dt))
+            data = traj.samples[:, start:]
+            n_batches = data.shape[1] // per_batch
+            for b in range(n_batches):
+                chunk = data[:, b * per_batch : (b + 1) * per_batch]
+                batches.append(chunk @ chunk.T / chunk.shape[1])
+        if len(trajectories) == 1 and len(batches) < 8:
+            raise ValidationError(
+                f"a single trajectory yielded only {len(batches)} batches; "
+                "use >= 2 trajectories or a horizon of at least "
+                f"{burn_in + 8 * per_batch * dt:.3g} with this batch length"
+            )
+        if len(batches) < 2:
+            raise ValidationError(
+                "need at least 2 batches for a standard error; "
+                "lengthen the trajectories or shrink batch_length"
+            )
+        stack = np.stack(batches)
+        estimate = stack.mean(axis=0)
+        stderr = stack.std(axis=0, ddof=1) / math.sqrt(len(batches))
+        estimate = 0.5 * (estimate + estimate.T)
+        stderr = 0.5 * (stderr + stderr.T)
+    if not (np.isfinite(estimate).all() and np.isfinite(stderr).all()):
+        raise ValidationError("ensemble covariance out of float range")
     return estimate, stderr
 
 
@@ -364,10 +360,17 @@ def homodyne_weights(
     as a (4, len(times)) array.
 
     A gain or an angle rotation * t out of float range gives inf or NaN
-    weights without a warning; callers refuse them.
+    weights without a warning; callers refuse them.  A ``phase`` or
+    ``rotation`` that is not a finite real number, or ``times`` that are not
+    a vector, raise :class:`ValidationError`.
     """
+    finite_real("phase", phase)
+    finite_real("rotation", rotation)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValidationError(f"times must be a vector, got shape {times.shape}")
     g = 1.0 / (2.0 * probe.kappa1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with float_arithmetic("homodyne weights"):
         w_rot = g * np.array(
             [
                 math.sin(phase) * probe.G_mc1,
@@ -376,7 +379,7 @@ def homodyne_weights(
                 math.cos(phase) * probe.G_ac1,
             ]
         )
-        angles = rotation * np.asarray(times, dtype=float)
+        angles = rotation * times
         c, s = np.cos(angles), np.sin(angles)
         weights = np.empty((4, len(angles)))
         # Per mode, lab weights are Rot(angle)^T applied to the rotating-frame pair.
@@ -411,16 +414,15 @@ def homodyne_output(
     """
     if noise_seed is None:
         raise ValidationError("noise_seed is required for the probe input noise")
-    flags = probe.validity()
-    if not all(flags.values()):
-        bad = sorted(name for name, ok in flags.items() if not ok)
-        logger.warning("probe outside its validity regime: %s", ", ".join(bad))
+    if not probe.validity():
+        logger.warning("probe outside its validity regime: detuning1 %g is not ten "
+                       "times its linewidth and couplings", probe.detuning1)
     weights = homodyne_weights(probe, phase, probe.detuning1, traj.times)
     rng = _rng(noise_seed)
     sigma = math.sqrt(1.0 / (2.0 * traj.dt))
     # Non-finite weights make every sample they touch non-finite, so one
     # check on the record refuses them and an overflowing signal alike.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with float_arithmetic("homodyne record"):
         xi_q, xi_p = rng.standard_normal((2, len(traj.times))) * sigma
         noise = math.cos(phase) * xi_q + math.sin(phase) * xi_p
         values = np.einsum("jk,jk->k", weights, traj.samples[:4]) + noise
@@ -526,7 +528,9 @@ def reconstruct_correlations(
         gains overflow the design's products, or the configuration set
         leaves covariance entries unidentifiable by the eigenvalue test above
         (the message lists them; probes that all have ``G_ac1 = 0``, for
-        instance, leave every entry with q_a or p_a).
+        instance, leave every entry with q_a or p_a), ``noise_variance`` is
+        not a finite real number, ``max_times`` not a positive integer, or
+        the products of the records or the estimate leave the float range.
     """
     if len(record_sets) < 2:
         raise ValidationError("need records from >= 2 independent trajectories")
@@ -553,8 +557,9 @@ def reconstruct_correlations(
 
     if noise_variance is None:
         noise_variance = 1.0 / (2.0 * first[0].dt)
+    finite_real("noise_variance", noise_variance)
     n_times = len(first[0].times)
-    stride = max(1, n_times // max_times)
+    stride = max(1, n_times // bounded_integer("max_times", max_times, 1))
     t_idx = np.arange(0, n_times, stride)
     times = first[0].times[t_idx]
 
@@ -569,7 +574,7 @@ def reconstruct_correlations(
     # that.  An all-zero design (uncoupled probes) keeps c = 1 and is refused.
     scale = 0.0
     for i, j in pairs:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with float_arithmetic("homodyne design"):
             block = _pair_block(weights[i], weights[j])
         if not np.isfinite(block).all():
             raise ValidationError(
@@ -586,13 +591,16 @@ def reconstruct_correlations(
     )  # (trajectory, configuration, kept time)
     gram = np.zeros((len(_UNIQUE_ENTRIES), len(_UNIQUE_ENTRIES)))
     rhs = np.zeros((len(_UNIQUE_ENTRIES), len(record_sets)))
-    for i, j in pairs:
-        block = _pair_block(weights[i], weights[j]) / scale
-        products = values[:, i] * values[:, j]
-        if i == j:
-            products -= noise_variance
-        gram += block.T @ block
-        rhs += block.T @ products.T
+    with float_arithmetic("normal equations"):
+        for i, j in pairs:
+            block = _pair_block(weights[i], weights[j]) / scale
+            products = values[:, i] * values[:, j]
+            if i == j:
+                products -= noise_variance
+            gram += block.T @ block
+            rhs += block.T @ products.T
+    if not np.isfinite(rhs).all():
+        raise ValidationError("homodyne record products out of float range")
 
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     null = eigenvalues <= 1e-10 * eigenvalues[-1]
@@ -610,9 +618,12 @@ def reconstruct_correlations(
             + "; add local-oscillator phases or coupling configurations"
         )
 
-    stack = (np.linalg.solve(gram, rhs) / scale).T
-    mean = stack.mean(axis=0)
-    sem = stack.std(axis=0, ddof=1) / math.sqrt(len(record_sets))
+    with float_arithmetic("reconstructed covariance"):
+        stack = (np.linalg.solve(gram, rhs) / scale).T
+        mean = stack.mean(axis=0)
+        sem = stack.std(axis=0, ddof=1) / math.sqrt(len(record_sets))
+    if not (np.isfinite(mean).all() and np.isfinite(sem).all()):
+        raise ValidationError("reconstructed covariance out of float range")
 
     estimate = np.zeros((4, 4))
     stderr = np.zeros((4, 4))

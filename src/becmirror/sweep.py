@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 from itertools import compress
 from operator import itemgetter
@@ -49,9 +48,9 @@ from .dynamics import (
 )
 from .effective import effective_parameters
 from .entanglement import entanglement_results, reduce_to_modes
-from .errors import BecMirrorError, ValidationError
+from .errors import BecMirrorError, ValidationError, bounded_integer, finite_real, float_arithmetic
 from .lyapunov import RESIDUAL_TOL, steady_covariances
-from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters, finite_real
+from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters
 
 SCHEMA_VERSION = 1
 
@@ -62,13 +61,12 @@ SCHEMA_VERSION = 1
 #: raise the peak memory by tens of MB
 BLOCK_POINTS = 64
 
+#: most points one grid may hold; each row takes about a kilobyte
+MAX_POINTS = 1_000_000
+
 #: the :class:`ModelBatch` fields :func:`build_drift` reads; the product
 #: criterion and the effective parameters read a subset of them
 _DRIFT_FIELDS = ("om_m", "om_a", "gamma", "kappa", "detuning", "G_mc", "G_ac")
-
-#: overflow at a point yields inf or NaN there, which a mask, a finiteness
-#: check or the residual gate turns into that point's row
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 _BARE_COUPLING_AXES = ("g_mc", "g_ac")
 _MODEL_FIELDS = frozenset(ModelParams.field_names())
@@ -102,8 +100,8 @@ class AxisSpec:
     ``name`` must be a :class:`PhysicalInput` field, a bare coupling override
     (``g_mc`` or ``g_ac``), or a :class:`ModelParams` field (applied after
     derivation).  ``scale`` is ``linear`` or ``log``.  ``start`` and
-    ``stop`` must be finite real numbers whose difference is finite, and
-    ``points`` an integer; they are stored as ``float`` and ``int``.
+    ``stop`` must be finite real numbers whose difference is finite, stored
+    as ``float``, and ``points`` an ``int`` from 1 to :data:`MAX_POINTS`.
     """
 
     name: str
@@ -128,11 +126,8 @@ class AxisSpec:
             raise ValidationError(
                 f"axis span {self.start!r} to {self.stop!r} overflows a float"
             )
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
-            raise ValidationError(f"axis points must be an integer, got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
-        if self.points < 1:
-            raise ValidationError(f"axis needs at least 1 point, got {self.points}")
+        object.__setattr__(self, "points",
+                           bounded_integer("axis points", self.points, 1, MAX_POINTS))
         if self.scale not in ("linear", "log"):
             raise ValidationError(f"scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -160,6 +155,8 @@ class SweepSpec:
         names = [axis.name for axis in self.axes]
         if len(set(names)) < len(names):
             raise ValidationError(f"sweep axes must name distinct parameters, got {names}")
+        if math.prod(axis.points for axis in self.axes) > MAX_POINTS:
+            raise ValidationError(f"sweep grid exceeds {MAX_POINTS} points")
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ def _grid_models(
         inp = SimpleNamespace(**{
             **{name: getattr(base, name) for name in PhysicalInput.field_names()}, **physical
         })
-    with np.errstate(**_QUIET):
+    with float_arithmetic("sweep grid"):
         derived = derive_parameters(inp)
         # An array kappa keeps the mean-field step from refusing the grid.
         derived = replace(derived, kappa=np.broadcast_to(derived.kappa, size), **bare)
@@ -370,7 +367,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     index, ids = index[order], ids[order]
     point_cells = [cells[i] for i in index.tolist()]
     first = np.flatnonzero(np.diff(ids, prepend=-1))
-    with np.errstate(**_QUIET):
+    with float_arithmetic("sweep stages"):
         drifts, solve = _drift_stage(batch[index[first]], ids, point_cells,
                                      spec.include_effective)
         # An unstable drift has no stationary covariance, so it is not solved

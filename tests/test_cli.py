@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import becmirror
 from becmirror.cli import load_config, main
@@ -94,6 +98,69 @@ class TestConfigLoading:
         code, _, err = run_cli(capsys, "entangle", "--config", str(path))
         assert code == 2
         assert err.startswith("error:") and message in err
+
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe not UTF-8",
+        json.dumps(dict(DEMO_CONFIG, laser_power=10**400)).encode(),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["non_utf8", "401_digit_int", "100000_deep_array"])
+    def test_unreadable_config_exits_two_with_one_error_line(self, tmp_path, capsys,
+                                                             content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "derive", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+#: JSON values a config field may hold, the float range's ends included
+_JSON_VALUES = st.one_of(
+    st.floats(), st.floats(min_value=5e-324, max_value=1e308),
+    st.sampled_from([0, 10**400, -(10**400), True, None, "1e-5", [], {}]),
+    st.integers(), st.text(max_size=3),
+)
+
+
+@st.composite
+def _config_documents(draw) -> bytes:
+    """A config file: the demo config with fields replaced, removed or added,
+    or another JSON document, or bytes that are not UTF-8."""
+    kind = draw(st.sampled_from(["fields", "fields", "fields", "document", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=8)) + b"\xff"
+    if kind == "document":
+        leaves = st.one_of(_JSON_VALUES, st.just(DEMO_CONFIG))
+        return json.dumps(draw(st.recursive(leaves, st.lists, max_leaves=4))).encode()
+    raw = dict(DEMO_CONFIG)
+    keys = sorted(DEMO_CONFIG) + ["cavity_decay", "lattice_depth", "frequency_unit", "x"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        if draw(st.booleans()):
+            raw[key] = draw(st.one_of(_JSON_VALUES, st.sampled_from(["hz", "rad_s"])))
+        else:
+            raw.pop(key, None)
+    return json.dumps(raw).encode()
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs") / "config.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=_config_documents(), command=st.sampled_from(["derive", "stability", "entangle"]))
+def test_any_config_gives_a_result_or_one_error_line(config_path, content, command):
+    config_path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config_path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestSimpleCommands:

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 import warnings
@@ -198,6 +199,11 @@ class TestSimulateTrajectoriesExact:
             (DAMPED_DRIFT, None, {"seed": -1}, ValidationError),
             (DAMPED_DRIFT, None, {"seed": 1.5}, ValidationError),
             (DAMPED_DRIFT, None, {"first_stream": -1}, ValidationError),
+            (DAMPED_DRIFT, np.eye(3), {}, ValidationError),
+            (-np.eye(3), None, {}, ValidationError),
+            (DAMPED_DRIFT, None, {"n_trajectories": 1.5}, ValidationError),
+            (DAMPED_DRIFT, None, {"dt": "x"}, ValidationError),
+            (DAMPED_DRIFT, None, {"first_stream": 0.5}, ValidationError),
         ],
     )
     def test_rejects_bad_input(self, drift, cov0, kwargs, error):
@@ -342,6 +348,18 @@ class TestEnsembleCovariance:
 
 
 class TestHomodyneOutput:
+    @pytest.mark.parametrize("kappa1, outside", [(0.05, False), (0.5, True)])
+    def test_validity_warning_logged_only_outside_the_regime(self, caplog, kappa1,
+                                                             outside):
+        # The adiabatic readout needs detuning1 > 10 max(kappa1, G_mc1, G_ac1).
+        traj = TrajectoryRecord(times=0.5 * np.arange(8), samples=np.ones((6, 8)), dt=0.5,
+                                seed=0, stream=0)
+        probe = ProbeCavity(kappa1, 1.0, 0.08, 0.0)
+        assert probe.validity() is (not outside)
+        with caplog.at_level(logging.WARNING, logger="becmirror.stochastic"):
+            homodyne_output(traj, probe, 0.0, noise_seed=3)
+        assert ("outside its validity regime" in caplog.text) is outside
+
     def test_requires_noise_seed(self):
         (traj,) = simulate_trajectories(
             build_drift(mild_model()), build_diffusion(mild_model()), None,
