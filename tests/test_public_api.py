@@ -85,7 +85,8 @@ def _matrix(draw, typical):
 
 
 def _physical(draw):
-    return lambda: PhysicalInput(**_numbers(draw, tuple(DEMO), base=DEMO))
+    values = _numbers(draw, tuple(DEMO), base=DEMO)
+    return lambda: PhysicalInput(**values)
 
 
 def _model(draw):
