@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .effective import effective_parameters
 from .entanglement import entanglement_result, reduce_to_modes
-from .errors import BecMirrorError, ValidationError, finite_real
+from .errors import BecMirrorError, ValidationError, finite_real, shown
 from .lyapunov import residual, solve_steady_covariance
 from .params import ModelParams, PhysicalInput, derive_parameters, model_params
 from .stochastic import (
@@ -68,7 +68,7 @@ def load_config(path: str, frequency_unit: str | None = None) -> PhysicalInput:
     unit = frequency_unit or raw.pop("frequency_unit", "rad_s")
     raw.pop("frequency_unit", None)
     if unit not in ("rad_s", "hz"):
-        raise ValidationError(f"frequency_unit must be rad_s or hz, got {unit!r}")
+        raise ValidationError(f"frequency_unit must be rad_s or hz, got {shown(unit)}")
     unknown = set(raw) - set(PhysicalInput.field_names())
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -172,18 +172,18 @@ def _parse_axis(text: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ValidationError(
-            f"axis must be name:min:max:points[:log], got {text!r}"
+            f"axis must be name:min:max:points[:log], got {shown(text)}"
         )
     scale = "linear"
     if len(parts) == 5:
         if parts[4] not in ("log", "linear"):
-            raise ValidationError(f"axis scale must be log or linear, got {parts[4]!r}")
+            raise ValidationError(f"axis scale must be log or linear, got {shown(parts[4])}")
         scale = parts[4]
     try:
         start, stop, points = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise ValidationError(
-            f"axis min and max must be numbers and points an integer, got {text!r}"
+            f"axis min and max must be numbers and points an integer, got {shown(text)}"
         ) from None
     return AxisSpec(name=parts[0], start=start, stop=stop, points=points, scale=scale)
 
@@ -195,13 +195,13 @@ def cmd_sweep(args) -> int:
         axes=tuple(_parse_axis(a) for a in args.axis),
         include_effective=args.effective,
     )
+    # The sweep runs before the output is opened, so a refused one writes nothing.
     result = run_sweep(spec)
-    blob = emit(result, args.format)
     if args.out == "-":
-        sys.stdout.buffer.write(blob)
+        emit(result, sys.stdout.buffer, args.format)
     else:
         with open(args.out, "wb") as fh:
-            fh.write(blob)
+            emit(result, fh, args.format)
     failed = sum(
         1 for row in result.rows if str(row.cells["status"]).startswith("error")
     )

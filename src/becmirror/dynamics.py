@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, bounded_integer, finite_square, float_arithmetic
+from .errors import NumericalError, bounded_integer, finite_square, float_arithmetic, shown
 from .params import ModelBatch, ModelParams
 
 QUADRATURES = ("q_m", "p_m", "q_a", "p_a", "q_c", "p_c")
@@ -83,10 +83,12 @@ def build_diffusion(p: ModelParams | ModelBatch) -> np.ndarray:
     the cavity vacuum kappa (2 n_c + 1); the condensate mode is noiseless
     (its thermal effects are neglected).  An uncoupled mirror then
     thermalizes to (n_th + 1/2) on both quadrature variances.  A batch gives
-    an (N, 6, 6) stack.
+    an (N, 6, 6) stack, whose entries out of float range are inf, without a
+    warning.
     """
-    mech = p.gamma * (2.0 * p.n_th + 1.0)
-    cav = p.kappa * (2.0 * p.n_c + 1.0)
+    with float_arithmetic("diffusion"):
+        mech = p.gamma * (2.0 * p.n_th + 1.0)
+        cav = p.kappa * (2.0 * p.n_c + 1.0)
     d = np.zeros(np.shape(p.om_m) + (6, 6))
     d[..., 0, 0] = d[..., 1, 1] = mech
     d[..., 4, 4] = d[..., 5, 5] = cav
@@ -157,7 +159,7 @@ def eigen_stability(
     try:
         eigenvalues = np.linalg.eigvals(drifts)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
-        raise NumericalError(f"eigenvalue computation failed on\n{drifts!r}") from exc
+        raise NumericalError(f"eigenvalue computation failed on\n{shown(drifts)}") from exc
     abscissa = np.max(eigenvalues.real, axis=-1)
     extent = np.abs(abscissa)
     with float_arithmetic("drift norms"):

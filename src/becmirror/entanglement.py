@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MODE_INDICES
-from .errors import BecMirrorError, NumericalError, ValidationError, finite_square, float_arithmetic
+from .errors import (
+    BecMirrorError,
+    NumericalError,
+    ValidationError,
+    finite_square,
+    float_arithmetic,
+    shown,
+)
 
 #: matrices are accepted as symmetric up to this relative asymmetry
 SYMMETRY_TOL = 1e-12
@@ -84,11 +91,11 @@ def reduce_to_modes(
     """
     cov = finite_square("covariance matrix", cov, 6, stack=np.ndim(cov) == 3)
     if not hasattr(keep, "__len__") or len(keep) != 2 or len(set(keep)) != 2:
-        raise ValidationError(f"keep must name two distinct modes, got {keep!r}")
+        raise ValidationError(f"keep must name two distinct modes, got {shown(keep)}")
     for mode in keep:
         if mode not in MODE_INDICES:
             raise ValidationError(
-                f"unknown mode {mode!r}; choose from {sorted(MODE_INDICES)}"
+                f"unknown mode {shown(mode)}; choose from {sorted(MODE_INDICES)}"
             )
     idx = [i for mode in keep for i in MODE_INDICES[mode]]
     return ReducedState(cov=cov[..., idx, :][..., idx], modes=(keep[0], keep[1]))

@@ -24,6 +24,24 @@ class NumericalError(BecMirrorError, ArithmeticError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for a refusal message; an int too long for Python to
+    print (past ``sys.get_int_max_str_digits()``) shows as its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):  # a container of such an int
+            return f"a {type(value).__name__} holding an int too long to print"
+    magnitude = abs(value)
+    # log10 can be off by one next to a power of ten; the powers settle it.
+    digits = int(math.log10(magnitude)) + 1
+    if magnitude >= 10**digits:
+        digits += 1
+    elif magnitude < 10 ** (digits - 1):
+        digits -= 1
+    return f"an int of {digits} digits"
+
+
 @contextlib.contextmanager
 def float_arithmetic(what: str):
     """Float arithmetic on numbers or arrays whose overflow gives inf or NaN
@@ -48,15 +66,15 @@ def finite_real(name: str, value, bound: str | None = None):
     the float range is not finite."""
     # float and int first: they short-circuit the slower abstract-class check.
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        raise ValidationError(f"{name} must be a real number, got {shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer past the float range
         finite = False
     if not finite:
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+        raise ValidationError(f"{name} must be finite, got {shown(value)}")
     if bound is not None and not within(value, bound):
-        raise ValidationError(f"{name} must be {bound}, got {value!r}")
+        raise ValidationError(f"{name} must be {bound}, got {shown(value)}")
     return value
 
 
@@ -66,7 +84,7 @@ def bounded_integer(name: str, value, minimum: int, maximum: int | None = None) 
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < minimum or (maximum is not None and value > maximum)):
         span = f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
-        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer {span}, got {shown(value)}")
     return int(value)
 
 
@@ -76,8 +94,8 @@ def finite_square(name: str, value, size: int | None = None, *, stack: bool = Fa
     stack of them.  Else raise :class:`ValidationError`."""
     try:
         matrix = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a real matrix, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
+        raise ValidationError(f"{name} must be a real matrix, got {shown(value)}") from None
     shape = matrix.shape
     if len(shape) != 2 + stack or shape[-1] != shape[-2] or size not in (None, shape[-1]):
         kind = ("a stack of {} matrices" if stack else "a {} matrix").format(

@@ -23,7 +23,14 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR, SPEED_OF_LIGHT
-from .errors import NumericalError, ValidationError, finite_real, float_arithmetic, within
+from .errors import (
+    NumericalError,
+    ValidationError,
+    finite_real,
+    float_arithmetic,
+    shown,
+    within,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -296,8 +303,8 @@ def thermal_occupation(
         # 1 / (e^x - 1) written so that e^x cannot overflow at ultracold T.
         occupation = np.exp(-x) / -np.expm1(-x)
     if occupation.ndim == 0 and not np.isfinite(occupation):
-        raise ValidationError(f"thermal occupation out of float range at omega={omega!r}, "
-                              f"T={temperature!r}")
+        raise ValidationError(f"thermal occupation out of float range at omega={shown(omega)}, "
+                              f"T={shown(temperature)}")
     return _number_or_array(occupation)
 
 
@@ -308,10 +315,33 @@ def derive_parameters(inp: PhysicalInput) -> DerivedParams:
     ``inp`` may also be any object with the attributes of a
     :class:`PhysicalInput` some of which hold arrays of valid values (a
     sweep grid); the fields of the result are then arrays where they depend
-    on those.  A field out of float range is inf or NaN, without a warning,
-    but the thermal occupation of numbers is refused there (see
-    :func:`thermal_occupation`), and so is a division by inputs whose
-    product underflows to 0.
+    on those.  Run on numbers, a field out of float range is refused; where
+    an input is an array, such a field is inf or NaN, without a warning, for
+    :meth:`ModelBatch.valid` to mask.
+
+    Raises
+    ------
+    ValidationError
+        If every input is a number and a derived field is out of float
+        range, or if a divisor underflows to 0.
+    """
+    derived = derive_fields(inp)
+    values = {f.name: getattr(derived, f.name) for f in fields(derived)}
+    if all(np.ndim(value) == 0 for value in values.values()):
+        outside = [name for name, value in values.items() if not math.isfinite(value)]
+        if outside:
+            raise ValidationError(f"derived parameters out of float range: {', '.join(outside)}")
+    return derived
+
+
+def derive_fields(inp: PhysicalInput) -> DerivedParams:
+    """The fields of :func:`derive_parameters`, left inf or NaN where they are
+    out of float range, without a warning, numbers included.
+
+    A sweep derives its configuration through this, as numbers when only
+    coupling and model axes vary, and masks such points with
+    :meth:`ModelBatch.valid`.  The thermal occupation of numbers, and a
+    division by inputs whose product underflows to 0, are still refused.
     """
     with float_arithmetic("derived parameters"):
         om_p = 2.0 * math.pi * SPEED_OF_LIGHT / inp.laser_wavelength
@@ -363,7 +393,7 @@ def steady_state_field(derived: DerivedParams, detuning: float) -> CavitySteadyS
         number but not a finite real one, or a divisor underflows to 0.
     """
     if np.ndim(derived.kappa) == 0 and derived.kappa <= 0:
-        raise ValidationError(f"kappa must be > 0, got {derived.kappa!r}")
+        raise ValidationError(f"kappa must be > 0, got {shown(derived.kappa)}")
     if np.ndim(detuning) == 0:
         finite_real("detuning", detuning)
     with float_arithmetic("mean fields"):

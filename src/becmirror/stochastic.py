@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import QUADRATURES, check_stability_eigen
 from .errors import (StabilityError, ValidationError, bounded_integer, finite_real,
-                     finite_square, float_arithmetic)
+                     finite_square, float_arithmetic, shown)
 
 logger = logging.getLogger(__name__)
 
@@ -309,7 +309,7 @@ def ensemble_covariance(
     span = min(traj.times[-1] for traj in trajectories) - burn_in
     if span <= 0:
         raise ValidationError(
-            f"burn_in {burn_in!r} consumes the whole trajectory; "
+            f"burn_in {shown(burn_in)} consumes the whole trajectory; "
             "simulate a longer horizon"
         )
     if batch_length is None:

@@ -23,8 +23,10 @@ failure is a per-point mask, set at the stage where the point fails: the
 point's row carries ``error:<ErrorType>`` with the cells of the stages it
 passed, and its neighbours are untouched.  No stage is retried for a part of
 the grid.  Output is deterministic byte-for-byte, with a provenance header
-carrying a configuration hash and the pinned constants version; :func:`emit`
-formats it column by column, each distinct value once.
+carrying a configuration hash and the pinned constants version.
+:func:`emit` formats it column by column, each distinct value once, and
+writes it to a binary stream in chunks of :data:`CHUNK_ROWS` rows, so the
+whole document is never held in memory.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
 from types import SimpleNamespace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -48,9 +51,16 @@ from .dynamics import (
 )
 from .effective import effective_parameters
 from .entanglement import entanglement_results, reduce_to_modes
-from .errors import BecMirrorError, ValidationError, bounded_integer, finite_real, float_arithmetic
+from .errors import (
+    BecMirrorError,
+    ValidationError,
+    bounded_integer,
+    finite_real,
+    float_arithmetic,
+    shown,
+)
 from .lyapunov import RESIDUAL_TOL, steady_covariances
-from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters
+from .params import ModelBatch, ModelParams, PhysicalInput, derive_fields
 
 SCHEMA_VERSION = 1
 
@@ -61,8 +71,13 @@ SCHEMA_VERSION = 1
 #: raise the peak memory by tens of MB
 BLOCK_POINTS = 64
 
-#: most points one grid may hold; each row takes about a kilobyte
+#: most points one grid may hold.  Measured with ``tracemalloc`` on a 200 x 200
+#: grid, a row holds about 0.85 kB, and about 1.4 kB at the peak of :func:`emit`
 MAX_POINTS = 1_000_000
+
+#: rows of a sweep table that :func:`emit` formats and writes at a time; a
+#: chunk of ``--effective`` JSON rows is about 120 kB
+CHUNK_ROWS = 256
 
 #: the :class:`ModelBatch` fields :func:`build_drift` reads; the product
 #: criterion and the effective parameters read a subset of them
@@ -118,18 +133,18 @@ class AxisSpec:
         )
         if not isinstance(self.name, str) or self.name not in valid:
             raise ValidationError(
-                f"unknown axis parameter {self.name!r}; valid names: {sorted(valid)}"
+                f"unknown axis parameter {shown(self.name)}; valid names: {sorted(valid)}"
             )
         object.__setattr__(self, "start", float(finite_real("axis start", self.start)))
         object.__setattr__(self, "stop", float(finite_real("axis stop", self.stop)))
         if not math.isfinite(self.stop - self.start):
             raise ValidationError(
-                f"axis span {self.start!r} to {self.stop!r} overflows a float"
+                f"axis span {shown(self.start)} to {shown(self.stop)} overflows a float"
             )
         object.__setattr__(self, "points",
                            bounded_integer("axis points", self.points, 1, MAX_POINTS))
         if self.scale not in ("linear", "log"):
-            raise ValidationError(f"scale must be linear or log, got {self.scale!r}")
+            raise ValidationError(f"scale must be linear or log, got {shown(self.scale)}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise ValidationError("log axes require positive bounds")
 
@@ -221,7 +236,7 @@ def _grid_models(
             **{name: getattr(base, name) for name in PhysicalInput.field_names()}, **physical
         })
     with float_arithmetic("sweep grid"):
-        derived = derive_parameters(inp)
+        derived = derive_fields(inp)
         # An array kappa keeps the mean-field step from refusing the grid.
         derived = replace(derived, kappa=np.broadcast_to(derived.kappa, size), **bare)
         batch = ModelBatch.from_derived(derived, size, model.pop("detuning", None))
@@ -444,8 +459,9 @@ def _texts(values: list, float_text, other_text) -> list[str]:
     return texts.tolist()
 
 
-def emit(result: SweepResult, fmt: str = "csv") -> bytes:
-    """Serialize a sweep result; byte-identical for identical inputs.
+def emit(result: SweepResult, stream: BinaryIO, fmt: str = "csv") -> None:
+    """Write a sweep result to the binary ``stream``; byte-identical for
+    identical inputs.
 
     CSV: a ``#`` header with the provenance, a line of the axis and cell
     column names, then one line per row.  Axis values are written with
@@ -465,40 +481,60 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     differently, and NaN never equals itself.  Other cells count as distinct
     by type and value, so ``True`` and ``1.0`` stay apart; they must be
     hashable.
+
+    The format is checked before anything is written.  The header is written
+    first, then the rows in chunks of :data:`CHUNK_ROWS`, one ``write`` call
+    each, and then the end of the document, so the document is never held
+    whole: only the column texts and one chunk are.  ``stream`` needs only a
+    ``write`` method that takes bytes; pass an :class:`io.BytesIO` for the
+    document as bytes.
     """
     if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown format {fmt!r}; use csv or json")
-    axes = [list(axis) for axis in zip(*(row.axis_values for row in result.rows))]
+        raise ValidationError(f"unknown format {shown(fmt)}; use csv or json")
+    points = [row.axis_values for row in result.rows]
     cells = [row.cells for row in result.rows]
-    columns = {name: list(map(itemgetter(name), cells)) for name in result.columns}
+    # Each column is gathered, turned into texts and freed in turn.
+    axes = range(len(result.axis_names))
     if fmt == "csv":
-        texts = [_texts(axis, repr, repr) for axis in axes]
-        texts += [_texts(columns[name], repr, _csv_cell) for name in result.columns]
-        lines = [
+        texts = [_texts(list(map(itemgetter(k), points)), repr, repr) for k in axes]
+        texts += [_texts(list(map(itemgetter(name), cells)), repr, _csv_cell)
+                  for name in result.columns]
+        head = "\n".join([
             "# becmirror sweep",
             f"# schema_version={result.provenance['schema_version']}",
             f"# config_hash={result.provenance['config_hash']}",
             f"# constants_version={result.provenance['constants_version']}",
             f"# package_version={result.provenance['package_version']}",
             ",".join(result.axis_names + result.columns),
-            *map(",".join, zip(*texts)),
-        ]
-        return ("\n".join(lines) + "\n").encode()
-    # Each row object is one %-template, as json.dumps would lay out its keys.
-    fields = {
-        "axis_values": ("[" + ",".join(["%s"] * len(axes)) + "]", axes),
-        **{name: ("%s", [columns[name]]) for name in result.columns},
-    }
-    keys = sorted(fields)
-    template = "{" + ",".join(
-        _json(key).replace("%", "%%") + ":" + fields[key][0] for key in keys
-    ) + "}"
-    texts = [_texts(values, _json_float, _json) for key in keys for values in fields[key][1]]
-    head = _json({
-        "axes": list(result.axis_names),
-        "columns": list(result.columns),
-        "provenance": result.provenance,
-    })
-    # "rows" sorts after the other three keys, so it closes the document.
-    rows = ",".join(template % row for row in zip(*texts))
-    return (head[:-1] + ',"rows":[' + rows + "]}\n").encode()
+        ]) + "\n"
+        template, sep, tail = ",".join(["%s"] * len(texts)) + "\n", "", ""
+    else:
+        # Each row object is one %-template, as json.dumps would lay out its keys.
+        keys = sorted(("axis_values",) + result.columns)
+        slots = {"axis_values": "[" + ",".join(["%s"] * len(axes)) + "]"}
+        template = "{" + ",".join(
+            _json(key).replace("%", "%%") + ":" + slots.get(key, "%s") for key in keys
+        ) + "}"
+        texts = []
+        for key in keys:
+            if key == "axis_values":
+                texts += [_texts(list(map(itemgetter(k), points)), _json_float, _json)
+                          for k in axes]
+            else:
+                texts.append(_texts(list(map(itemgetter(key), cells)), _json_float, _json))
+        # "rows" sorts after the other three keys, so it closes the document.
+        head = _json({
+            "axes": list(result.axis_names),
+            "columns": list(result.columns),
+            "provenance": result.provenance,
+        })[:-1] + ',"rows":['
+        sep, tail = ",", "]}\n"
+    stream.write(head.encode())
+    rows = map(template.__mod__, zip(*texts))
+    lead = ""
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        # The separator between two chunks opens the later one.
+        chunk[0] = lead + chunk[0]
+        stream.write(sep.join(chunk).encode())
+        lead = sep
+    stream.write(tail.encode())

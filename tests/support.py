@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from becmirror import (
     PhysicalInput,
     SweepResult,
     ValidationError,
+    emit,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -278,6 +280,13 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def emitted(result: SweepResult, fmt: str = "csv") -> bytes:
+    """The document :func:`becmirror.emit` writes for ``result``, as bytes."""
+    stream = io.BytesIO()
+    emit(result, stream, fmt)
+    return stream.getvalue()
 
 
 def reference_emit(result: SweepResult, fmt: str = "csv") -> bytes:

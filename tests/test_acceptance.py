@@ -35,7 +35,6 @@ from becmirror import (
     check_stability_criterion,
     check_stability_eigen,
     derive_parameters,
-    emit,
     ensemble_covariance,
     logarithmic_negativity,
     model_params,
@@ -52,6 +51,7 @@ from becmirror.sweep import BLOCK_POINTS
 
 from support import (
     TWO_PI,
+    emitted,
     entangled_model,
     integrate_covariance,
     pt_symplectic_oracle,
@@ -409,10 +409,10 @@ class TestCriterion9DeterminismRegression:
             axes=(AxisSpec(name="g_mc", start=0.0, stop=400.0,
                            points=2 * BLOCK_POINTS + 3),),
         )
-        blobs = [emit(run_sweep(spec)) for _ in range(2)]
+        blobs = [emitted(run_sweep(spec)) for _ in range(2)]
         table = blobs[0].splitlines()[6:]
         singles = [
-            emit(run_sweep(replace(spec, axes=(AxisSpec(name="g_mc", start=v, stop=v,
+            emitted(run_sweep(replace(spec, axes=(AxisSpec(name="g_mc", start=v, stop=v,
                                                          points=1),)))).splitlines()[-1]
             for v in spec.axes[0].values()
         ]

@@ -113,6 +113,15 @@ class TestConfigLoading:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_derivation_out_of_float_range_exits_two_with_one_error_line(self, tmp_path,
+                                                                         capsys):
+        path = tmp_path / "tiny_wavelength.json"
+        path.write_text(json.dumps(dict(DEMO_CONFIG, laser_wavelength=5e-324)))
+        code, out, err = run_cli(capsys, "derive", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "out of float range" in err
+
 
 #: JSON values a config field may hold, the float range's ends included
 _JSON_VALUES = st.one_of(
@@ -336,6 +345,18 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("# becmirror sweep")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_file_get_the_same_bytes(self, demo_config, tmp_path, capsysbinary,
+                                                fmt):
+        argv = ["sweep", "--config", demo_config, "--axis", "temperature:1e-6:1e-4:7:log",
+                "--axis", "bec_coupling:100:300:3", "--effective", "--format", fmt]
+        assert main(argv + ["--out", "-"]) == 0
+        written = capsysbinary.readouterr().out
+        path = tmp_path / f"sweep.{fmt}"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == written
+        assert written.startswith(b"# becmirror" if fmt == "csv" else b'{"axes":')
 
 
 class TestStochasticCommands:

@@ -274,6 +274,16 @@ class TestBatch:
         assert stable.tolist() == [True, False, False, False]
         assert marginal.tolist() == [False, False, False, True]
 
+    def test_overflowing_diffusion_is_inf_without_a_warning(self):
+        # gamma (2 n_th + 1) overflows at n_th = 1e308; the tier-1 filter turns
+        # a RuntimeWarning into a failure.
+        fields = {name: np.full(2, getattr(mild_model(), name))
+                  for name in ModelParams.field_names()}
+        batch = ModelBatch(**{**fields, "n_th": np.array([1.0, 1e308])})
+        diffusions = build_diffusion(batch)
+        np.testing.assert_array_equal(diffusions[0], build_diffusion(mild_model(n_th=1.0)))
+        assert np.isinf(np.diag(diffusions[1])[:2]).all()
+        assert np.isfinite(np.diag(diffusions[1])[2:]).all()
 
     def test_valid_mask_applies_the_model_rules(self):
         # Each field at a bad or borderline value, one point each; the mask

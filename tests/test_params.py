@@ -138,6 +138,11 @@ class TestDeriveParameters:
         with pytest.raises(ValidationError, match="temperature"):
             thermal_occupation(1e6, -1.0)
 
+    def test_refuses_a_number_derived_out_of_float_range(self):
+        # om_p = 2 pi c / 5e-324 overflows, and g_mc with it.
+        with pytest.raises(ValidationError, match="out of float range: om_p, g_mc"):
+            derive_parameters(reference_input(laser_wavelength=5e-324))
+
     def test_deterministic_and_pure(self):
         first = derive_parameters(reference_input())
         second = derive_parameters(reference_input())

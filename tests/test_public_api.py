@@ -2,8 +2,9 @@
 
 Each name of ``becmirror.__all__`` is either called here through an argument
 builder (``CALLS``) or named in ``EXEMPT`` with the reason it takes no
-arguments to check.  A builder draws numbers as floats, ints (401-digit ones
-included), bools, strings and None, magnitudes from 5e-324 to 1e308 of
+arguments to check.  A builder draws numbers as floats, ints (401-digit ones,
+and 5,001-digit ones too long for Python to print, included), bools, strings
+and None, magnitudes from 5e-324 to 1e308 of
 either sign, and matrices of the wrong shape or with non-finite entries.
 Structured arguments are built through the public constructors from such
 draws, so a refusal by the constructor counts as the call's.  No other
@@ -12,6 +13,7 @@ exception and no ``RuntimeWarning`` may escape.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -51,7 +53,8 @@ MAGNITUDE = st.floats(min_value=5e-324, max_value=1e308)
 REAL = st.one_of(MAGNITUDE, MAGNITUDE.map(operator.neg))
 NUMBER = st.one_of(
     REAL,
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -10**400]),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -10**400,
+                     10**5000, -10**5000]),
     st.integers(-3, 3),
     st.booleans(),
     st.text(max_size=2),
@@ -180,7 +183,7 @@ CALLS = {
             draw, ("G_mc", "G_ac", "detuning", "kappa", "om_m", "om_a"),
             base=DEMO_MODEL.__dict__)),
     "emit": lambda draw: _call(
-        becmirror.emit, _call(becmirror.run_sweep, _sweep_spec(draw)),
+        becmirror.emit, _call(becmirror.run_sweep, _sweep_spec(draw)), io.BytesIO,
         draw(st.one_of(st.sampled_from(["csv", "json"]), NUMBER))),
     "ensemble_covariance": lambda draw: _call(
         becmirror.ensemble_covariance,
@@ -274,6 +277,10 @@ FORMER_LEAKS = {
                           dt=0.1, seed=0, stream=s) for s in range(2)], 0.0),
     "backaction_cubic_at_1e308": lambda: becmirror.self_consistent_detuning(
         becmirror.derive_parameters(PhysicalInput(**DEMO)), 1e308),
+    "occupation_of_an_int_too_long_to_print": lambda: becmirror.thermal_occupation(
+        10**5000, 1.0),
+    "modes_of_an_int_too_long_to_print": lambda: becmirror.reduce_to_modes(
+        np.eye(6), 10**5000),
 }
 
 
@@ -283,6 +290,18 @@ def test_former_leak_raises_validation_error(name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValidationError):
             FORMER_LEAKS[name]()
+
+
+@pytest.mark.parametrize("value, digits", [
+    (10**5000, 5001), (10**5000 - 1, 5000), (-(10**5000), 5001), (-(10**5000) + 1, 5000),
+], ids=["1e5000", "1e5000-1", "-1e5000", "-1e5000+1"])
+def test_refusal_shows_an_int_too_long_to_print_by_its_digit_count(value, digits):
+    with pytest.raises(ValidationError, match=f"got an int of {digits} digits"):
+        becmirror.thermal_occupation(value, 1.0)
+    with pytest.raises(ValidationError, match=f"got an int of {digits} digits"):
+        becmirror.reduce_to_modes(np.eye(6), value)
+    with pytest.raises(ValidationError, match="got a tuple holding an int too long to print"):
+        becmirror.reduce_to_modes(np.eye(6), (value,))
 
 
 def test_every_export_is_called_or_exempt():

@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from becmirror.errors import BecMirrorError
 from becmirror.lyapunov import steady_covariances
 from becmirror.sweep import BLOCK_POINTS, SweepResult, SweepRow, _grid_models
 
-from support import TWO_PI, parse_sweep, reference_emit, reference_input
+from support import TWO_PI, emitted, parse_sweep, reference_emit, reference_input
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -660,7 +662,7 @@ class TestDriftSharing:
 
 class TestEmit:
     def test_csv_layout(self):
-        blob = emit(run_sweep(small_spec(points=2)))
+        blob = emitted(run_sweep(small_spec(points=2)))
         lines = blob.decode().splitlines()
         header_lines = [line for line in lines if line.startswith("#")]
         assert any("config_hash=" in line for line in header_lines)
@@ -671,13 +673,13 @@ class TestEmit:
 
     def test_byte_identical_across_runs(self):
         spec = small_spec()
-        first = emit(run_sweep(spec))
-        second = emit(run_sweep(spec))
+        first = emitted(run_sweep(spec))
+        second = emitted(run_sweep(spec))
         assert first == second
 
     def test_round_trip_csv(self):
         result = run_sweep(small_spec(points=3))
-        blob = emit(result, "csv")
+        blob = emitted(result, "csv")
         parsed = parse_sweep(blob, "csv")
         assert parsed["provenance"]["config_hash"] == result.provenance["config_hash"]
         assert len(parsed["rows"]) == 3
@@ -693,17 +695,19 @@ class TestEmit:
                 "schema_version": 1, "config_hash": config_hash,
                 "constants_version": "codata-2018", "package_version": "1.0",
             })
-            assert parse_sweep(emit(result, "csv"), "csv")["provenance"] == result.provenance
+            assert parse_sweep(emitted(result, "csv"), "csv")["provenance"] == result.provenance
 
     def test_round_trip_json(self):
         result = run_sweep(small_spec(points=2))
-        parsed = parse_sweep(emit(result, "json"), "json")
+        parsed = parse_sweep(emitted(result, "json"), "json")
         assert parsed["provenance"] == result.provenance
         assert parsed["rows"][0]["status"] == result.rows[0].cells["status"]
 
     def test_unknown_format_rejected(self):
+        sink = RecordingSink()
         with pytest.raises(ValidationError, match="format"):
-            emit(run_sweep(small_spec(points=2)), "yaml")
+            emit(run_sweep(small_spec(points=2)), sink, "yaml")
+        assert sink.sizes == []
 
     def test_config_hash_tracks_configuration(self):
         a = run_sweep(small_spec(points=2)).provenance["config_hash"]
@@ -713,8 +717,12 @@ class TestEmit:
     @settings(max_examples=50, deadline=None)
     @given(result=_sweep_results())
     def test_matches_row_wise_reference(self, result):
+        # Chunks of 1, 2 and 5 rows put chunk boundaries inside the <= 12 rows.
         for fmt in ("csv", "json"):
-            assert emit(result, fmt) == reference_emit(result, fmt)
+            expected = reference_emit(result, fmt)
+            for chunk in (sweep.CHUNK_ROWS, 1, 2, 5):
+                with mock.patch.object(sweep, "CHUNK_ROWS", chunk):
+                    assert emitted(result, fmt) == expected
 
     def test_equal_floats_that_print_differently_stay_apart(self):
         values = [0.0, -0.0, math.nan, -math.nan, math.inf, True, 1.0, None, 1, "1.0"]
@@ -724,8 +732,10 @@ class TestEmit:
             provenance=run_sweep(small_spec(points=1)).provenance,
         )
         for fmt in ("csv", "json"):
-            assert emit(result, fmt) == reference_emit(result, fmt)
-        assert emit(result, "csv").decode().splitlines()[-10:] == [
+            for chunk in (sweep.CHUNK_ROWS, 1, 2, 5):
+                with mock.patch.object(sweep, "CHUNK_ROWS", chunk):
+                    assert emitted(result, fmt) == reference_emit(result, fmt)
+        assert emitted(result, "csv").decode().splitlines()[-10:] == [
             "0.0,0.0", "-0.0,-0.0", "nan,nan", "nan,nan", "inf,inf", "True,true",
             "1.0,1.0", "None,", "1,1", "'1.0',1.0",
         ]
@@ -743,4 +753,52 @@ class TestEmit:
                          axes=tuple(map(_parse_axis, axes)), include_effective=effective)
         result = run_sweep(spec)
         for fmt in ("csv", "json"):
-            assert emit(result, fmt) == reference_emit(result, fmt)
+            assert emitted(result, fmt) == reference_emit(result, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writes_the_table_in_chunks(self, physical_grid, fmt):
+        sink = RecordingSink()
+        emit(physical_grid, sink, fmt)
+        document = b"".join(sink.chunks)
+        assert document == reference_emit(physical_grid, fmt)
+        assert max(sink.sizes) <= len(document) / 4
+
+    def test_peak_memory_stays_below_twice_the_document(self, physical_grid):
+        size = len(emitted(physical_grid, "json"))
+        sink = RecordingSink(keep=False)
+        tracemalloc.start()
+        try:
+            emit(physical_grid, sink, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(sink.sizes) == size
+        assert peak < 2 * size
+
+
+class RecordingSink:
+    """A binary stream that records the size of each write, and with
+    ``keep`` the written bytes."""
+
+    def __init__(self, keep: bool = True):
+        self.sizes: list[int] = []
+        self.chunks: list[bytes] = []
+        self.keep = keep
+
+    def write(self, data: bytes) -> int:
+        self.sizes.append(len(data))
+        if self.keep:
+            self.chunks.append(data)
+        return len(data)
+
+
+@pytest.fixture(scope="module")
+def physical_grid() -> SweepResult:
+    """The 48 x 48 temperature x detuning ``--effective`` grid on demo.json."""
+    spec = SweepSpec(
+        base=load_config(str(CONFIGS / "demo.json")),
+        axes=(_parse_axis("temperature:1e-6:1e-3:48:log"),
+              _parse_axis("effective_detuning:4712388.98:18849555.92:48")),
+        include_effective=True,
+    )
+    return run_sweep(spec)
