@@ -125,11 +125,13 @@ def check_stability_criterion(p: ModelParams | ModelBatch) -> tuple[float, bool]
     and whether it is positive, as arrays for a batch.  The value equals
     det M / (om_m om_a) at gamma = 0.  A strictly Hurwitz 6x6 drift has
     det M > 0, so without damping a negative value proves instability, while
-    a positive one proves nothing.
+    a positive one proves nothing.  A value out of float range is inf or
+    NaN, without a warning.
     """
-    value = p.om_m * p.om_a * (p.kappa * p.kappa + p.detuning * p.detuning) - p.detuning * (
-        p.G_mc * p.G_mc * p.om_a + p.G_ac * p.G_ac * p.om_m
-    )
+    with float_arithmetic("stability criterion"):
+        value = p.om_m * p.om_a * (p.kappa * p.kappa + p.detuning * p.detuning) - p.detuning * (
+            p.G_mc * p.G_mc * p.om_a + p.G_ac * p.G_ac * p.om_m
+        )
     return value, value > 0.0
 
 

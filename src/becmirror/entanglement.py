@@ -22,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MODE_INDICES
-from .errors import (
-    BecMirrorError,
-    NumericalError,
-    ValidationError,
-    finite_square,
-    float_arithmetic,
-    shown,
-)
+from .errors import (BecMirrorError, NumericalError, ValidationError, finite_square,
+                     float_arithmetic, shown)
 
 #: matrices are accepted as symmetric up to this relative asymmetry
 SYMMETRY_TOL = 1e-12

@@ -23,14 +23,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR, SPEED_OF_LIGHT
-from .errors import (
-    NumericalError,
-    ValidationError,
-    finite_real,
-    float_arithmetic,
-    shown,
-    within,
-)
+from .errors import (NumericalError, ValidationError, finite_real, float_arithmetic, shown,
+                     within)
 
 logger = logging.getLogger(__name__)
 

@@ -51,14 +51,8 @@ from .dynamics import (
 )
 from .effective import effective_parameters
 from .entanglement import entanglement_results, reduce_to_modes
-from .errors import (
-    BecMirrorError,
-    ValidationError,
-    bounded_integer,
-    finite_real,
-    float_arithmetic,
-    shown,
-)
+from .errors import (BecMirrorError, ValidationError, bounded_integer, finite_real,
+                     float_arithmetic, shown)
 from .lyapunov import RESIDUAL_TOL, steady_covariances
 from .params import ModelBatch, ModelParams, PhysicalInput, derive_fields
 

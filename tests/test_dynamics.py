@@ -274,16 +274,21 @@ class TestBatch:
         assert stable.tolist() == [True, False, False, False]
         assert marginal.tolist() == [False, False, False, True]
 
-    def test_overflowing_diffusion_is_inf_without_a_warning(self):
-        # gamma (2 n_th + 1) overflows at n_th = 1e308; the tier-1 filter turns
-        # a RuntimeWarning into a failure.
+    def test_overflowing_batch_gives_inf_without_a_warning(self):
+        # gamma (2 n_th + 1) overflows at n_th = 1e308, and om_m om_a kappa^2
+        # at kappa = 1e200; the tier-1 filter turns a RuntimeWarning into a
+        # failure.
         fields = {name: np.full(2, getattr(mild_model(), name))
                   for name in ModelParams.field_names()}
-        batch = ModelBatch(**{**fields, "n_th": np.array([1.0, 1e308])})
+        batch = ModelBatch(**{**fields, "n_th": np.array([1.0, 1e308]),
+                              "kappa": np.array([fields["kappa"][0], 1e200])})
         diffusions = build_diffusion(batch)
-        np.testing.assert_array_equal(diffusions[0], build_diffusion(mild_model(n_th=1.0)))
+        np.testing.assert_array_equal(
+            diffusions[0], build_diffusion(mild_model(n_th=1.0, kappa=fields["kappa"][0])))
         assert np.isinf(np.diag(diffusions[1])[:2]).all()
-        assert np.isfinite(np.diag(diffusions[1])[2:]).all()
+        assert np.isfinite(np.diag(diffusions[1])[2:4]).all()
+        value, _ = check_stability_criterion(batch)
+        assert np.isfinite(value[0]) and not np.isfinite(value[1])
 
     def test_valid_mask_applies_the_model_rules(self):
         # Each field at a bad or borderline value, one point each; the mask
