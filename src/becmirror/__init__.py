@@ -21,7 +21,6 @@ from .dynamics import (
 from .effective import EffectiveModel, effective_parameters
 from .entanglement import (
     EntanglementResult,
-    ReducedState,
     entanglement_result,
     logarithmic_negativity,
     reduce_to_modes,
@@ -76,7 +75,6 @@ __all__ = [
     "PhysicalInput",
     "ProbeCavity",
     "QUADRATURES",
-    "ReducedState",
     "StabilityError",
     "StabilityReport",
     "SweepResult",

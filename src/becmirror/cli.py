@@ -93,18 +93,8 @@ def _check_constants_pin() -> None:
 
 
 def _dump(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True, default=_json_default)
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _model(args) -> ModelParams:
@@ -301,7 +291,7 @@ def cmd_homodyne_sim(args) -> int:
             "ordering": list(QUADRATURES[:4]),
             "reconstructed": estimate.tolist(),
             "stderr": stderr.tolist(),
-            "lyapunov_reduced": reduce_to_modes(cov).cov.tolist(),
+            "lyapunov_reduced": reduce_to_modes(cov).tolist(),
             "lyapunov_log_negativity": result.log_negativity,
             "trajectories": args.trajectories,
             "dt": dt,

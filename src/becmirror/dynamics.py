@@ -5,6 +5,47 @@ R = (q_m, p_m, q_a, p_a, q_c, p_c) for the mirror, condensate and cavity
 modes, with q = (o + o^dag)/sqrt(2) and p = (o - o^dag)/(i sqrt(2)).  The
 fluctuations obey dR/dt = M R + F with white noise F, so the stationary
 covariance solves the Lyapunov equation M V + V M^T = -D.
+
+The model is written once, as the symmetric matrix H of the linearized
+Hamiltonian hbar R^T H R / 2, the damping rates k = (gamma, gamma, 0, 0,
+kappa, kappa) and the bath occupations n = (n_th, n_th, 0, 0, n_c, n_c) of
+the quadratures (the condensate is lossless and noiseless: its thermal
+effects are neglected).  The Heisenberg equations of H are dR/dt = J H R,
+with J = :func:`symplectic_form` (3), so M = J H - diag(k), and each bath
+feeds in a symmetrized noise D = diag(k (2 n + 1)).
+
+H comes from the Hamiltonian of the paper's setup, in units of hbar and in
+the frame rotating at the laser frequency om_p::
+
+    (om_c - om_p) c^dag c + om_m b^dag b + om_a a^dag a
+        - g_mc c^dag c q_m + g_ac c^dag c q_a + i E (c^dag - c)
+
+for the cavity c (resonance om_c, drive E), the mirror b and the condensate
+side mode a: radiation pressure pushes the mirror out, lowering the resonance
+by g_mc per unit q_m, and the condensate's density grating shifts it by g_ac
+per unit q_a.  With each mode its mean plus a fluctuation, and the cavity
+mean alpha real (the drive phase absorbed), c^dag c = alpha^2 +
+sqrt(2) alpha q_c to first order, so the part quadratic in the fluctuations
+is::
+
+    om_m (q_m^2 + p_m^2)/2 + om_a (q_a^2 + p_a^2)/2 + Delta (q_c^2 + p_c^2)/2
+        - G_mc q_m q_c + G_ac q_a q_c
+
+with G = sqrt(2) g alpha and Delta the effective detuning (om_c - om_p
+shifted by the static displacements): H = diag(om_m, om_m, om_a, om_a,
+Delta, Delta), H[0, 4] = H[4, 0] = -G_mc and H[2, 4] = H[4, 2] = +G_ac.
+
+What the signs mean.  Only the cavity is in the laser's frame: the undriven
+mirror and condensate keep their own positive frequencies.  Delta > 0 puts
+the laser below the cavity resonance (red), where a mode near Delta exchanges
+excitations with the cavity and is cooled; Delta < 0 (blue) squeezes it with
+the cavity.  The signs of G_mc and G_ac are phase conventions: q, p -> -q, -p
+on one mode flips its coupling and no entanglement measure.  The sign of the
+condensate's entry is not: with it positive and Delta > 0 the cavity mediates
+an exchange between mirror and condensate, whereas Genes, Vitali & Tombesi
+(PRA 77, 050307(R) (2008)) entangle atoms with a mirror by tuning the atoms
+to the laser's Stokes sideband, the entry -om_a in this frame, which
+:class:`~becmirror.params.ModelParams` does not admit.
 """
 
 from __future__ import annotations
@@ -35,17 +76,29 @@ def symplectic_form(n_modes: int = 3) -> np.ndarray:
     return omega
 
 
+#: J as moves of rows: (J H)[r] = J[r, s] H[s], so row s of H lands in row r
+#: of the drift, keeping its sign iff J[r, s] = +1
+_LANDS = {s: (r, j > 0) for (r, s), j in np.ndenumerate(symplectic_form(3)) if j}
+
+
+def _model(p: ModelParams | ModelBatch) -> tuple[dict, dict, dict]:
+    """H, k and n of the module docstring, for one model or a batch.
+
+    Each is given by the entries its parameters set: H keyed by (row,
+    column), k and n by quadrature; every other entry is zero.  The drift is
+    filled from these by index, not by a matrix product, so each of its
+    entries is a parameter or its negation, bit for bit (a zero parameter
+    keeps its sign), and an entry that no parameter sets is +0.0.
+    """
+    h = {(0, 0): p.om_m, (1, 1): p.om_m, (2, 2): p.om_a, (3, 3): p.om_a,
+         (4, 4): p.detuning, (5, 5): p.detuning,
+         (0, 4): -p.G_mc, (4, 0): -p.G_mc, (2, 4): p.G_ac, (4, 2): p.G_ac}
+    return (h, {0: p.gamma, 1: p.gamma, 4: p.kappa, 5: p.kappa},
+            {0: p.n_th, 1: p.n_th, 4: p.n_c, 5: p.n_c})
+
+
 def build_drift(p: ModelParams | ModelBatch) -> np.ndarray:
-    """Drift matrix of the linearized quadrature dynamics.
-
-    Row by row, the equations of motion are::
-
-        dq_m/dt = -gamma q_m + om_m p_m
-        dp_m/dt = -om_m q_m - gamma p_m + G_mc q_c
-        dq_a/dt =  om_a p_a
-        dp_a/dt = -om_a q_a - G_ac q_c
-        dq_c/dt = -kappa q_c + detuning p_c
-        dp_c/dt =  G_mc q_m - G_ac q_a - detuning q_c - kappa p_c
+    """Drift matrix M = J H - diag(k) of the linearized quadrature dynamics.
 
     Parameters
     ----------
@@ -58,40 +111,29 @@ def build_drift(p: ModelParams | ModelBatch) -> np.ndarray:
         Real 6x6 drift matrix in the fixed quadrature ordering, or an
         (N, 6, 6) stack of them for a batch.
     """
+    h, k, _ = _model(p)
     m = np.zeros(np.shape(p.om_m) + (6, 6))
-    m[..., 0, 0] = -p.gamma
-    m[..., 0, 1] = p.om_m
-    m[..., 1, 0] = -p.om_m
-    m[..., 1, 1] = -p.gamma
-    m[..., 1, 4] = p.G_mc
-    m[..., 2, 3] = p.om_a
-    m[..., 3, 2] = -p.om_a
-    m[..., 3, 4] = -p.G_ac
-    m[..., 4, 4] = -p.kappa
-    m[..., 4, 5] = p.detuning
-    m[..., 5, 0] = p.G_mc
-    m[..., 5, 2] = -p.G_ac
-    m[..., 5, 4] = -p.detuning
-    m[..., 5, 5] = -p.kappa
+    for (s, column), value in h.items():
+        row, keeps_sign = _LANDS[s]
+        m[..., row, column] = value if keeps_sign else -value
+    for i, rate in k.items():
+        m[..., i, i] = -rate  # (J H)[i, i] is 0: H couples no q to its own p
     return m
 
 
 def build_diffusion(p: ModelParams | ModelBatch) -> np.ndarray:
-    """Diagonal diffusion matrix of the symmetrized input noises.
+    """Diagonal diffusion matrix D = diag(k (2 n + 1)) of the symmetrized
+    input noises.
 
-    The mirror bath contributes gamma (2 n_th + 1) on its two quadratures,
-    the cavity vacuum kappa (2 n_c + 1); the condensate mode is noiseless
-    (its thermal effects are neglected).  An uncoupled mirror then
-    thermalizes to (n_th + 1/2) on both quadrature variances.  A batch gives
-    an (N, 6, 6) stack, whose entries out of float range are inf, without a
-    warning.
+    An uncoupled mirror then thermalizes to (n_th + 1/2) on both quadrature
+    variances.  A batch gives an (N, 6, 6) stack, whose entries out of float
+    range are inf, without a warning.
     """
-    with float_arithmetic("diffusion"):
-        mech = p.gamma * (2.0 * p.n_th + 1.0)
-        cav = p.kappa * (2.0 * p.n_c + 1.0)
+    _, k, n = _model(p)
     d = np.zeros(np.shape(p.om_m) + (6, 6))
-    d[..., 0, 0] = d[..., 1, 1] = mech
-    d[..., 4, 4] = d[..., 5, 5] = cav
+    with float_arithmetic("diffusion"):
+        for i, rate in k.items():
+            d[..., i, i] = rate * (2.0 * n[i] + 1.0)
     return d
 
 

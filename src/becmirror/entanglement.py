@@ -33,26 +33,6 @@ CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    """Covariance matrix of a kept mode pair, with its 2x2 block views."""
-
-    cov: np.ndarray
-    modes: tuple[str, str]
-
-    @property
-    def block_x(self) -> np.ndarray:
-        return self.cov[..., :2, :2]
-
-    @property
-    def block_y(self) -> np.ndarray:
-        return self.cov[..., 2:, 2:]
-
-    @property
-    def block_z(self) -> np.ndarray:
-        return self.cov[..., :2, 2:]
-
-
-@dataclass(frozen=True)
 class EntanglementResult:
     """Entanglement summary of a reduced two-mode Gaussian state."""
 
@@ -69,8 +49,8 @@ class EntanglementResult:
 
 def reduce_to_modes(
     cov: np.ndarray, keep: tuple[str, str] = ("mirror", "bec")
-) -> ReducedState:
-    """Trace out all but two modes of a full covariance matrix.
+) -> np.ndarray:
+    """Covariance matrix of two modes of a full one, the others traced out.
 
     Tracing out a mode of a Gaussian state amounts to deleting its rows and
     columns; no renormalization is involved.
@@ -92,11 +72,11 @@ def reduce_to_modes(
                 f"unknown mode {shown(mode)}; choose from {sorted(MODE_INDICES)}"
             )
     idx = [i for mode in keep for i in MODE_INDICES[mode]]
-    return ReducedState(cov=cov[..., idx, :][..., idx], modes=(keep[0], keep[1]))
+    return cov[..., idx, :][..., idx]
 
 
-def _cov_of(state: ReducedState | np.ndarray) -> np.ndarray:
-    cov = finite_square("covariance matrix", getattr(state, "cov", state), 4)
+def _cov_of(state: np.ndarray) -> np.ndarray:
+    cov = finite_square("covariance matrix", state, 4)
     with float_arithmetic("covariance symmetry check"):
         unit, size = cov, np.linalg.norm(cov)
         if np.isinf(size):  # entries past ~1e154: measure in units of the largest
@@ -171,7 +151,7 @@ def _symplectic_pairs(covs: np.ndarray) -> _Pairs:
     return _Pairs(nu_minus, np.sqrt(nu_plus_sq), sigma, det_raw, clamped, errors)
 
 
-def symplectic_eigenvalues(state: ReducedState | np.ndarray) -> tuple[float, float]:
+def symplectic_eigenvalues(state: np.ndarray) -> tuple[float, float]:
     """Partially transposed symplectic eigenvalues (nu_minus, nu_plus).
 
     These are the symplectic eigenvalues of the covariance matrix after
@@ -182,7 +162,7 @@ def symplectic_eigenvalues(state: ReducedState | np.ndarray) -> tuple[float, flo
     return result.nu_minus, result.nu_plus
 
 
-def logarithmic_negativity(state: ReducedState | np.ndarray) -> float:
+def logarithmic_negativity(state: np.ndarray) -> float:
     """Logarithmic negativity max(0, -ln 2 nu_minus); 0 for separable states."""
     return entanglement_result(state).log_negativity
 
@@ -217,7 +197,7 @@ def entanglement_results(covs: np.ndarray) -> list[EntanglementResult | BecMirro
     return results
 
 
-def entanglement_result(state: ReducedState | np.ndarray) -> EntanglementResult:
+def entanglement_result(state: np.ndarray) -> EntanglementResult:
     """Bundle all entanglement quantities of a reduced state.
 
     Raises

@@ -319,24 +319,6 @@ def derive_parameters(inp: PhysicalInput) -> DerivedParams:
         If every input is a number and a derived field is out of float
         range, or if a divisor underflows to 0.
     """
-    derived = derive_fields(inp)
-    values = {f.name: getattr(derived, f.name) for f in fields(derived)}
-    if all(np.ndim(value) == 0 for value in values.values()):
-        outside = [name for name, value in values.items() if not math.isfinite(value)]
-        if outside:
-            raise ValidationError(f"derived parameters out of float range: {', '.join(outside)}")
-    return derived
-
-
-def derive_fields(inp: PhysicalInput) -> DerivedParams:
-    """The fields of :func:`derive_parameters`, left inf or NaN where they are
-    out of float range, without a warning, numbers included.
-
-    A sweep derives its configuration through this, as numbers when only
-    coupling and model axes vary, and masks such points with
-    :meth:`ModelBatch.valid`.  The thermal occupation of numbers, and a
-    division by inputs whose product underflows to 0, are still refused.
-    """
     with float_arithmetic("derived parameters"):
         om_p = 2.0 * math.pi * SPEED_OF_LIGHT / inp.laser_wavelength
         if inp.cavity_decay is not None:
@@ -366,7 +348,12 @@ def derive_fields(inp: PhysicalInput) -> DerivedParams:
         n_th=n_th,
         detuning=inp.effective_detuning,
     )
-    return DerivedParams(**{name: _number_or_array(v) for name, v in values.items()})
+    values = {name: _number_or_array(value) for name, value in values.items()}
+    if all(np.ndim(value) == 0 for value in values.values()):
+        outside = [name for name, value in values.items() if not math.isfinite(value)]
+        if outside:
+            raise ValidationError(f"derived parameters out of float range: {', '.join(outside)}")
+    return DerivedParams(**values)
 
 
 def steady_state_field(derived: DerivedParams, detuning: float) -> CavitySteadyState:

@@ -3,11 +3,12 @@
 A sweep grid is defined by one or two axes over raw experimental inputs,
 bare couplings, or reduced model parameters.  The models of all grid points
 are assembled at once as a :class:`~becmirror.params.ModelBatch`: the axis
-values enter the derivation as arrays (the configuration is derived once, as
-numbers, when only coupling or model axes vary), and a per-point mask applies
-the validation rules of the single-point constructors.  Each valid point is
-then given the id of its drift: points whose drift-matrix parameters agree bit
-for bit share one (a temperature axis changes the diffusion only).  The valid
+values and every field the base configuration sets enter the derivation as
+arrays over the grid, and a per-point mask applies the validation rules of the
+single-point constructors, so a point out of range is masked whatever the
+axes.  Each valid point is then given the id of its drift: points whose
+drift-matrix parameters agree bit for bit share one (a temperature axis
+changes the diffusion only).  The valid
 points are evaluated in two stages, in drift-id order.  The drift stage runs
 the drift-only work (the drift, the stability check with its authoritative
 eigenvalue verdict, the product criterion and the effective parameters) in one
@@ -54,7 +55,7 @@ from .entanglement import entanglement_results, reduce_to_modes
 from .errors import (BecMirrorError, ValidationError, bounded_integer, finite_real,
                      float_arithmetic, shown)
 from .lyapunov import RESIDUAL_TOL, steady_covariances
-from .params import ModelBatch, ModelParams, PhysicalInput, derive_fields
+from .params import ModelBatch, ModelParams, PhysicalInput, derive_parameters
 
 SCHEMA_VERSION = 1
 
@@ -146,7 +147,11 @@ class AxisSpec:
         if self.points == 1:
             return np.array([self.start])
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.points)
+            # Next to the float maximum numpy's power overflows to inf, even
+            # between equal bounds, and every value lies within the bounds.
+            with float_arithmetic("log axis"):
+                values = np.geomspace(self.start, self.stop, self.points)
+            return np.clip(values, min(self.start, self.stop), max(self.start, self.stop))
         return np.linspace(self.start, self.stop, self.points)
 
 
@@ -201,16 +206,19 @@ def _grid_models(
     Every :class:`PhysicalInput` rule is about one field or about which
     fields are set, so a point is valid iff each of its physical axis values
     is, by :meth:`PhysicalInput.admits`; an invalid value is derived as the
-    base's value and its points are masked.  Model axes replace fields after
-    the derivation, and :meth:`ModelBatch.valid` masks the points that break
-    a :class:`ModelParams` rule before or after that, as :func:`model_params`
-    and ``replace`` would reject them; a cavity decay that derives to 0 (2 F L
-    overflowing) is one of those.  Entries of the batch at invalid points are
+    base's value and its points are masked.  Every field the base sets enters
+    the derivation as a column of the grid, so a derived field out of float
+    range is inf or NaN at its points, whatever the axes.  Model axes replace
+    fields after the derivation, and :meth:`ModelBatch.valid` masks the
+    points that break a :class:`ModelParams` rule before or after that, as
+    :func:`model_params` and ``replace`` would reject them; such a derived
+    field is one of those.  Entries of the batch at invalid points are
     meaningless.
     """
     size = len(next(iter(columns.values())))
     valid = np.ones(size, dtype=bool)
-    physical: dict[str, np.ndarray] = {}
+    inp = {name: None if value is None else np.full(size, value, dtype=float)
+           for name, value in asdict(base).items()}
     bare: dict[str, np.ndarray] = {}
     model: dict[str, np.ndarray] = {}
     for name, column in columns.items():
@@ -223,16 +231,9 @@ def _grid_models(
             valid &= admitted
             # A field the base leaves unset admits no value and stays unset.
             if admitted.any():
-                physical[name] = np.where(admitted, column, getattr(base, name))
-    inp = base
-    if physical:
-        inp = SimpleNamespace(**{
-            **{name: getattr(base, name) for name in PhysicalInput.field_names()}, **physical
-        })
+                inp[name] = np.where(admitted, column, getattr(base, name))
     with float_arithmetic("sweep grid"):
-        derived = derive_fields(inp)
-        # An array kappa keeps the mean-field step from refusing the grid.
-        derived = replace(derived, kappa=np.broadcast_to(derived.kappa, size), **bare)
+        derived = replace(derive_parameters(SimpleNamespace(**inp)), **bare)
         batch = ModelBatch.from_derived(derived, size, model.pop("detuning", None))
         valid &= batch.valid()
         if model:
@@ -329,7 +330,7 @@ def _solve_block(batch: ModelBatch, ids: np.ndarray, drifts: np.ndarray,
     members, group = np.unique(ids[finite], return_inverse=True)
     covs, residuals = steady_covariances(drifts[members], diffusions[finite], group)
     passed = residuals <= RESIDUAL_TOL
-    results = iter(entanglement_results(reduce_to_modes(covs[passed]).cov))
+    results = iter(entanglement_results(reduce_to_modes(covs[passed])))
     for row, rel, gate in zip(compress(cells, finite.tolist()), residuals.tolist(),
                               passed.tolist()):
         if not gate:

@@ -77,6 +77,51 @@ def entangled_model(**overrides) -> ModelParams:
     return ModelParams(**kwargs)
 
 
+def hand_placed_drift(p) -> np.ndarray:
+    """Drift matrix with each of its 14 entries placed by hand, from the
+    equations of motion::
+
+        dq_m/dt = -gamma q_m + om_m p_m
+        dp_m/dt = -om_m q_m - gamma p_m + G_mc q_c
+        dq_a/dt =  om_a p_a
+        dp_a/dt = -om_a q_a - G_ac q_c
+        dq_c/dt = -kappa q_c + detuning p_c
+        dp_c/dt =  G_mc q_m - G_ac q_a - detuning q_c - kappa p_c
+
+    The byte-level oracle of :func:`becmirror.build_drift`, signed zeros
+    included; ``p`` is a ModelParams or a ModelBatch.
+    """
+    m = np.zeros(np.shape(p.om_m) + (6, 6))
+    m[..., 0, 0] = -p.gamma
+    m[..., 0, 1] = p.om_m
+    m[..., 1, 0] = -p.om_m
+    m[..., 1, 1] = -p.gamma
+    m[..., 1, 4] = p.G_mc
+    m[..., 2, 3] = p.om_a
+    m[..., 3, 2] = -p.om_a
+    m[..., 3, 4] = -p.G_ac
+    m[..., 4, 4] = -p.kappa
+    m[..., 4, 5] = p.detuning
+    m[..., 5, 0] = p.G_mc
+    m[..., 5, 2] = -p.G_ac
+    m[..., 5, 4] = -p.detuning
+    m[..., 5, 5] = -p.kappa
+    return m
+
+
+def hand_placed_diffusion(p) -> np.ndarray:
+    """Diffusion matrix with the mirror's gamma (2 n_th + 1) and the cavity's
+    kappa (2 n_c + 1) placed by hand: the byte-level oracle of
+    :func:`becmirror.build_diffusion`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mech = p.gamma * (2.0 * p.n_th + 1.0)
+        cav = p.kappa * (2.0 * p.n_c + 1.0)
+    d = np.zeros(np.shape(p.om_m) + (6, 6))
+    d[..., 0, 0] = d[..., 1, 1] = mech
+    d[..., 4, 4] = d[..., 5, 5] = cav
+    return d
+
+
 def random_stable_system(
     rng: np.random.Generator, dim: int = 6
 ) -> tuple[np.ndarray, np.ndarray]:

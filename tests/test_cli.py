@@ -157,7 +157,8 @@ def config_path(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(content=_config_documents(), command=st.sampled_from(["derive", "stability", "entangle"]))
+@given(content=_config_documents(),
+       command=st.sampled_from(["derive", "stability", "covariance", "entangle", "effective"]))
 def test_any_config_gives_a_result_or_one_error_line(config_path, content, command):
     config_path.write_bytes(content)
     out, err = io.StringIO(), io.StringIO()

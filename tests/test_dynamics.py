@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becmirror import (
     ModelBatch,
@@ -16,10 +18,11 @@ from becmirror import (
     model_params,
     symplectic_form,
 )
-from becmirror.dynamics import eigen_stability
+from becmirror.dynamics import _model, eigen_stability
 from dataclasses import replace
 
-from support import TWO_PI, mild_model, reference_input, routh_hurwitz_verdict
+from support import (TWO_PI, hand_placed_diffusion, hand_placed_drift, mild_model,
+                     reference_input, routh_hurwitz_verdict)
 
 # Structurally nonzero drift entries for generic parameters (14; the two
 # -gamma diagonals vanish for an undamped mirror, leaving 12).
@@ -109,6 +112,61 @@ class TestBuildDrift:
             [np.linalg.eigvals(drift[k : k + 2, k : k + 2]) for k in (0, 2, 4)]
         )
         np.testing.assert_allclose(full, np.sort_complex(blocks), atol=1e-12)
+
+
+#: field values a ModelParams admits, zeros of both signs and ints included
+_ZEROS = st.sampled_from([0.0, -0.0, 0])
+_FIELD_VALUES = {
+    **dict.fromkeys(("om_m", "om_a", "kappa"),
+                    st.one_of(st.just(1), st.floats(min_value=5e-324, max_value=1e308))),
+    **dict.fromkeys(("gamma", "G_mc", "G_ac", "n_th", "n_c"),
+                    st.one_of(_ZEROS, st.floats(min_value=0.0, max_value=1e308))),
+    "detuning": st.one_of(_ZEROS, st.floats(allow_nan=False, allow_infinity=False)),
+}
+_MODELS = st.builds(ModelParams, **_FIELD_VALUES)
+
+
+@st.composite
+def _batches(draw) -> ModelBatch:
+    """A ModelBatch of 1 to 4 models, each field any float or a zero of
+    either sign; a batch is not validated."""
+    size = draw(st.integers(1, 4))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+    return ModelBatch(**{name: np.array(draw(st.lists(values, min_size=size, max_size=size)))
+                         for name in ModelParams.field_names()})
+
+
+def _dense(p) -> tuple[np.ndarray, np.ndarray]:
+    """H and diag(k) of ``p`` as float matrices."""
+    h, k, _ = _model(p)
+    hamiltonian, damping = np.zeros((6, 6)), np.zeros((6, 6))
+    for (i, j), value in h.items():
+        hamiltonian[i, j] = value
+    for i, rate in k.items():
+        damping[i, i] = rate
+    return hamiltonian, damping
+
+
+class TestModelDescription:
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(_MODELS, _batches()))
+    def test_matrices_equal_the_hand_placed_ones_byte_for_byte(self, p):
+        assert build_drift(p).tobytes() == hand_placed_drift(p).tobytes()
+        assert build_diffusion(p).tobytes() == hand_placed_diffusion(p).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=_MODELS)
+    def test_drift_is_the_hamiltonian_flow_less_the_damping(self, p):
+        # J H is a Hamiltonian matrix, A^T J + J A = 0, so the damping is all
+        # of the drift's departure from that: M^T J + J M = -2 J diag(k).
+        # (M + M^T is not -2 diag(k): M[1, 4] = G_mc while M[4, 1] = 0.)
+        hamiltonian, damping = _dense(p)
+        j = symplectic_form(3)
+        drift = build_drift(p)
+        assert hamiltonian.tobytes() == hamiltonian.T.tobytes()
+        np.testing.assert_array_equal(drift, j @ hamiltonian - damping)
+        with np.errstate(over="ignore"):  # rates past 9e307 double to inf on both sides
+            np.testing.assert_array_equal(drift.T @ j + j @ drift, -2.0 * j @ damping)
 
 
 class TestBuildDiffusion:

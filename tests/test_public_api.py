@@ -250,7 +250,6 @@ EXEMPT = {
     "EntanglementResult": "a result record of entanglement_result, not validated",
     "HomodyneRecord": "a result record of homodyne_output, not validated",
     "ModelBatch": "the sweep's unit of work, validated point by point by its valid()",
-    "ReducedState": "a result record of reduce_to_modes, not validated",
     "StabilityReport": "a result record of check_stability_eigen, not validated",
     "SweepResult": "a result record of run_sweep, not validated",
     "TrajectoryRecord": "a result record of simulate_trajectories, not validated",

@@ -526,7 +526,7 @@ class TestReconstructCorrelations:
         _, _, _, cov = entangled_system
         reduced = reduce_to_modes(cov)
         estimate, stderr = reconstruct_correlations(stationary_record_sets)
-        z = np.abs(estimate - reduced.cov) / np.where(stderr > 0, stderr, 1.0)
+        z = np.abs(estimate - reduced) / np.where(stderr > 0, stderr, 1.0)
         assert np.max(z) <= 3.5
 
         negativity_true = logarithmic_negativity(reduced)

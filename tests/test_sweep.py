@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from becmirror import (
@@ -181,6 +181,9 @@ class TestAxisSpec:
 
     @settings(max_examples=300, deadline=None)
     @given(_AXIS_STRINGS)
+    # log axes at the float maximum, where numpy's power overflows
+    @example("temperature:1.0:1.7976931348622103e+308:2:log")
+    @example("temperature:1.7976931348622103e+308:1.7976931348622103e+308:3:log")
     def test_any_axis_string_parses_or_raises_package_error(self, text):
         try:
             axis = _parse_axis(text)
@@ -515,12 +518,17 @@ class TestGridAssembly:
         assert valid.tolist() == [True, True]
         assert batch.n_th.tolist() == [0.0, 0.0]
 
-    def test_model_axes_do_not_hide_an_invalid_derivation(self):
+    @pytest.mark.parametrize("overrides", [
+        {"laser_power": 1e308},
+        {"finesse": 1e-200, "cavity_length": 1e-200},
+    ], ids=["drive_overflows", "cavity_decay_divides_by_zero"])
+    def test_model_axes_do_not_hide_an_invalid_derivation(self, overrides):
         # The drive overflows at this power, so the derived G_mc and G_ac are
-        # infinite: model_params refuses every point before the model axes
-        # would replace both couplings with valid values.
+        # infinite; 2 F L underflows to 0 at this finesse and length, so kappa
+        # is.  Either way model_params refuses every point before the model
+        # axes would replace both couplings with valid values.
         spec = SweepSpec(
-            base=reference_input(laser_power=1e308),
+            base=reference_input(**overrides),
             axes=(
                 AxisSpec(name="G_mc", start=1e5, stop=2e5, points=2),
                 AxisSpec(name="G_ac", start=1e5, stop=2e5, points=2),
